@@ -28,10 +28,12 @@ let coarse (Instance ((module M), v)) q = M.coarse v q
 let size_bytes (Instance ((module M), v)) = M.size_bytes v
 
 (* ------------------------------------------------------------------ *)
-(* XSKETCH: the paper's estimator, behind the generic surface. The
-   engine's compiled fast path (Engine.of_sketch) bypasses this module
-   on purpose; this is the uncompiled reference evaluator, for callers
-   that want XSKETCH through the same door every other backend uses. *)
+(* XSKETCH: the paper's estimator, behind the generic surface, for
+   callers that want it through the same door every other backend uses.
+   It keeps no caches: every [estimate] enumerates the twig's embeddings
+   and compiles a fresh plan for them ([Plan.estimate_once]). The
+   engine's session path (Engine.of_sketch) bypasses this module on
+   purpose to reuse embeddings and plans across calls. *)
 
 module Xsketch = struct
   type t = { sk : Sketch.t; coarse_sk : Sketch.t Lazy.t }

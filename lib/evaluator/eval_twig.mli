@@ -7,8 +7,12 @@
     expression. *)
 
 val selectivity : Xtwig_xml.Doc.t -> Xtwig_path.Path_types.twig -> int
-(** Exact binding-tuple count. Memoized internally; linear-ish in
-    (matched elements x twig nodes). *)
+(** Exact binding-tuple count; linear-ish in (matched elements x twig
+    nodes). Paths are compiled once per call ({!Eval_path.compile}) and
+    leaf branches are counted, not visited. Sub-twig counts are
+    memoized per (element, twig node) only when some non-root path has
+    a descendant step: with child steps only, a match's context is its
+    unique ancestor that many levels up, so no pair is reached twice. *)
 
 val selectivity_ordered :
   Xtwig_xml.Doc.t ->

@@ -36,7 +36,7 @@ module Synopsis = Xtwig_synopsis.Graph_synopsis
 
 (* Resolve a step label to the value histogram of the biggest synopsis
    node carrying one — the propagation pass's column statistics. *)
-let sketch_vhist sk label =
+let value_histogram sk label =
   let syn = Xtwig_sketch.Sketch.synopsis sk in
   List.fold_left
     (fun acc node ->
@@ -51,9 +51,60 @@ let sketch_vhist sk label =
     (Synopsis.nodes_with_label syn label)
   |> Option.map snd
 
-let optimize sk q =
+(* Costing memo: one table of structural estimates per sketch, keyed
+   by sub-twig text. A sketch is immutable, so an estimate depends only
+   on the sketch and the twig. The tables hang off an ephemeron keyed on
+   the sketch's identity, so a dropped or replaced sketch frees its
+   memo; one lock guards the ephemeron and every table (planning may
+   run on several domains), and a table that reaches [memo_cap] entries
+   is cleared. An estimate that raises is not stored, and planning
+   degrades exactly as without the memo. *)
+module Sketch_memo = Ephemeron.K1.Make (struct
+  type t = sketch
+
+  let equal = ( == )
+  let hash = Xtwig_sketch.Sketch.node_count
+end)
+
+let memo_cap = 4096
+let memos : (string, float) Hashtbl.t Sketch_memo.t = Sketch_memo.create 8
+let memo_lock = Mutex.create ()
+
+let m_memo_hits =
+  Xtwig_obs.Metrics.counter ~help:"optimizer sub-twig estimates answered by the memo"
+    "opt.memo_hits"
+
+let m_memo_misses =
+  Xtwig_obs.Metrics.counter ~help:"optimizer sub-twig estimates computed afresh"
+    "opt.memo_misses"
+
+let memo_table sk =
+  match Sketch_memo.find_opt memos sk with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 256 in
+      Sketch_memo.replace memos sk tbl;
+      tbl
+
+let memo_estimate sk =
   let inst = Backend.of_sketch sk in
-  Opt.plan ~estimate:(Backend.estimate inst) ~vhist:(sketch_vhist sk) q
+  fun q ->
+    let key = twig_to_string q in
+    match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt (memo_table sk) key) with
+    | Some v ->
+        Xtwig_obs.Metrics.incr m_memo_hits;
+        v
+    | None ->
+        Xtwig_obs.Metrics.incr m_memo_misses;
+        let v = Backend.estimate inst q in
+        Mutex.protect memo_lock (fun () ->
+            let tbl = memo_table sk in
+            if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
+            Hashtbl.replace tbl key v);
+        v
+
+let optimize sk q =
+  Opt.plan ~estimate:(memo_estimate sk) ~vhist:(value_histogram sk) q
 
 let optimize_backend inst q = Opt.plan ~estimate:(Backend.estimate inst) q
 

@@ -78,10 +78,28 @@ module Opt = Xtwig_opt.Opt
 val optimize : sketch -> twig -> Opt.plan
 (** Plan a twig's branch evaluation order, costed by the sketch's
     estimates through the {!Backend} registry, with constraint
-    propagation over the sketch's 1-d value histograms refining
-    value-predicate selectivities before costing. Total: failures
-    (including an injected [opt.plan] fault) yield the identity plan
-    with [fallback = true]. *)
+    propagation over the sketch's 1-d value histograms
+    ({!value_histogram}) refining value-predicate selectivities before
+    costing.
+
+    The structural estimates of the stripped sub-twigs go through one
+    memo per sketch, keyed by sub-twig text: a sketch is immutable, so
+    a repeated sub-twig costs a table lookup instead of an embedding
+    enumeration and a plan compile, and plans are bit-equal to those
+    priced afresh. The memo is held weakly (dropping or replacing the
+    sketch frees it), is safe to share between domains, and is cleared
+    whenever it reaches 4,096 entries. Counters [opt.memo_hits] and
+    [opt.memo_misses] count its lookups.
+
+    Total: failures (including an injected [opt.plan] fault, which
+    fires once per call before any memo lookup, and an estimate that
+    raises, which is never memoized) yield the identity plan with
+    [fallback = true]. *)
+
+val value_histogram : sketch -> string -> Xtwig_hist.Hist1d.t option
+(** The column statistics {!optimize} propagates value predicates
+    through: the 1-d value histogram of the largest synopsis node with
+    this label, if any node with the label carries one. *)
 
 val optimize_backend : Backend.instance -> twig -> Opt.plan
 (** As {!optimize} over any registered backend. No histogram access,

@@ -119,6 +119,98 @@ let test_raising_estimator_degrades () =
     plan.Opt.changed
 
 (* ------------------------------------------------------------------ *)
+(* the costing memo: plans through it are bit-equal to plans priced by *)
+(* a fresh uncached estimator, warm, shared between domains, and after *)
+(* the memo has been cleared at its cap                                 *)
+
+module Backend = Xtwig_backend.Estimator_backend
+module Metrics = Xtwig_obs.Metrics
+
+let pv_pool doc =
+  Wgen.generate { Wgen.paper_pv with Wgen.n_queries = 40 } (Prng.create 9) doc
+
+(* every float by its bits, so 0.0 / -0.0 or a NaN cannot pass as equal *)
+let plan_bits (p : Opt.plan) =
+  let bits a = Array.map Int64.bits_of_float a in
+  ( p.orders,
+    Array.map (fun (m : Opt.node_model) -> (bits m.costs, bits m.probs)) p.models,
+    Int64.bits_of_float p.cost,
+    Int64.bits_of_float p.default_cost,
+    p.changed,
+    p.fallback )
+
+let uncached_plan sk q =
+  Opt.plan
+    ~estimate:(Backend.estimate (Backend.of_sketch sk))
+    ~vhist:(Xtwig.value_histogram sk) q
+
+let check_same_plans what sk qs plans =
+  List.iteri
+    (fun i (q, p) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s q%d = uncached plan" what i)
+        true
+        (plan_bits p = plan_bits (uncached_plan sk q)))
+    (List.combine qs plans)
+
+let memo_counts () =
+  ( Metrics.counter_value (Metrics.counter "opt.memo_hits"),
+    Metrics.counter_value (Metrics.counter "opt.memo_misses") )
+
+let test_memo_warm_equals_uncached () =
+  List.iter
+    (fun (name, doc) ->
+      let sk = Sketch.default_of_doc doc in
+      let qs = pv_pool doc in
+      let cold = List.map (Xtwig.optimize sk) qs in
+      let h0, m0 = memo_counts () in
+      let warm = List.map (Xtwig.optimize sk) qs in
+      let h1, m1 = memo_counts () in
+      Alcotest.(check int) (name ^ ": warm pass computes nothing") 0 (m1 - m0);
+      Alcotest.(check bool) (name ^ ": warm pass hits the memo") true (h1 > h0);
+      check_same_plans (name ^ " cold") sk qs cold;
+      check_same_plans (name ^ " warm") sk qs warm)
+    (Lazy.force datasets)
+
+let test_memo_two_domains () =
+  let _, doc = List.nth (Lazy.force datasets) 1 in
+  let qs = pv_pool doc in
+  let expect = List.map (uncached_plan (Sketch.default_of_doc doc)) qs in
+  (* a fresh sketch: both domains start on a cold memo and race on its
+     misses, one walking the pool backwards *)
+  let sk = Sketch.default_of_doc doc in
+  let plan_all qs = List.map (fun q -> (q, Xtwig.optimize sk q)) qs in
+  let d1 = Domain.spawn (fun () -> plan_all qs) in
+  let d2 = Domain.spawn (fun () -> plan_all (List.rev qs)) in
+  let r1 = Domain.join d1 and r2 = List.rev (Domain.join d2) in
+  List.iteri
+    (fun i e ->
+      let _, p1 = List.nth r1 i and _, p2 = List.nth r2 i in
+      Alcotest.(check bool) (Printf.sprintf "domain 1 q%d" i) true
+        (plan_bits p1 = plan_bits e);
+      Alcotest.(check bool) (Printf.sprintf "domain 2 q%d" i) true
+        (plan_bits p2 = plan_bits e))
+    expect
+
+let test_memo_cap_clears () =
+  let _, doc = List.hd (Lazy.force datasets) in
+  let sk = Sketch.default_of_doc doc in
+  let qs = pv_pool doc in
+  ignore (List.map (Xtwig.optimize sk) qs);
+  (* more distinct sub-twigs than the memo holds: single-node twigs
+     cost one estimate each *)
+  for i = 0 to 4500 do
+    match Xtwig.twig_of_string (Printf.sprintf "for t0 in //filler%d" i) with
+    | Ok q -> ignore (Xtwig.optimize sk q)
+    | Error _ -> Alcotest.fail "filler twig"
+  done;
+  let _, m0 = memo_counts () in
+  let again = List.map (Xtwig.optimize sk) qs in
+  let _, m1 = memo_counts () in
+  Alcotest.(check bool) "the cap cleared the pool's entries" true (m1 > m0);
+  check_same_plans "after the cap" sk qs again
+
+(* ------------------------------------------------------------------ *)
 (* wire protocol: the optimize verb round-trips and the reply body is
    byte-equal to a local rendering of the same plan                    *)
 
@@ -165,6 +257,15 @@ let () =
             (protecting test_fault_degrades);
           Alcotest.test_case "raising estimator -> default order" `Quick
             test_raising_estimator_degrades;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "warm plans = uncached plans" `Quick
+            test_memo_warm_equals_uncached;
+          Alcotest.test_case "two domains = sequential plans" `Quick
+            test_memo_two_domains;
+          Alcotest.test_case "plans unchanged past the cap" `Quick
+            test_memo_cap_clears;
         ] );
       ( "protocol",
         [ Alcotest.test_case "optimize verb round-trip" `Quick
