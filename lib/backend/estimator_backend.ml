@@ -31,9 +31,10 @@ let size_bytes (Instance ((module M), v)) = M.size_bytes v
 (* XSKETCH: the paper's estimator, behind the generic surface, for
    callers that want it through the same door every other backend uses.
    It keeps no caches: every [estimate] enumerates the twig's embeddings
-   and compiles a fresh plan for them ([Plan.estimate_once]). The
+   and runs the recursive evaluator over them ([Estimator.estimate]);
+   compiling a plan that runs once costs more than interpreting it. The
    engine's session path (Engine.of_sketch) bypasses this module on
-   purpose to reuse embeddings and plans across calls. *)
+   purpose to reuse embeddings and compiled plans across calls. *)
 
 module Xsketch = struct
   type t = { sk : Sketch.t; coarse_sk : Sketch.t Lazy.t }

@@ -78,7 +78,7 @@ type core =
       sk : Sketch.t;
       coarse : Sketch.t;  (* label-split fallback, shares the document *)
       cache : Embed.cache;  (* session-lived, keyed to sk's synopsis *)
-      pcache : Plan.cache;  (* compiled plans, same lifecycle as [cache] *)
+      pcache : Plan.cache;  (* sk's compiled plans, same lifecycle *)
     }
   | Bk of Backend.instance
 
@@ -185,7 +185,7 @@ let of_sketch ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
             sk;
             coarse = Sketch.default_of_doc (Sketch.doc sk);
             cache = Embed.create_cache (Sketch.synopsis sk);
-            pcache = Plan.create_cache (Sketch.synopsis sk);
+            pcache = Plan.create_cache sk;
           }
       in
       mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s:0.0 ~retries
@@ -227,28 +227,18 @@ let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
       Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
     in
     let t0 = now () in
-    let built_plans = ref None in
     let sk =
-      Xbuild.build ?pool ~seed ?candidates ?max_steps
-        ~plan_cache_out:built_plans ~budget ~workload ~truth doc
+      Xbuild.build ?pool ~seed ?candidates ?max_steps ~budget ~workload ~truth
+        doc
     in
     let build_s = now () -. t0 in
-    (* seed the session's plan cache with the build's: adopt it when
-       the final step kept the synopsis, otherwise chain it as the
-       fallback so the first batch repatches instead of compiling *)
-    let pcache =
-      match !built_plans with
-      | Some pc when Plan.cache_synopsis pc == Sketch.synopsis sk -> pc
-      | Some pc -> Plan.create_cache ~fallback:pc (Sketch.synopsis sk)
-      | None -> Plan.create_cache (Sketch.synopsis sk)
-    in
     let core =
       Sk
         {
           sk;
           coarse = Sketch.default_of_doc doc;
           cache = Embed.create_cache (Sketch.synopsis sk);
-          pcache;
+          pcache = Plan.create_cache sk;
         }
     in
     Ok
@@ -397,10 +387,12 @@ let record_outcome t ~probe i a =
 
 (* Compile phase for one query, on the owner under the query's fault
    scope: enumerate embeddings (guarded by cardinality and node-count
-   ceilings), compile plans; injected faults at [embed.fill] /
-   [plan.fill] are retried with backoff while the deadline allows. The
-   deadline is set here, before compilation, so compile time spends
-   the same budget evaluation does. *)
+   ceilings), then look the plans up, compiling them on the query's
+   first sighting; injected faults at [embed.fill] / [plan.fill] are
+   retried with backoff while the deadline allows. The deadline is set
+   here, before compilation, so compile time spends the same budget
+   evaluation does. [Ok] carries whether this lookup compiled, which
+   is the plan tier {!explain} reports. *)
 let compile_prep t ~timeout ~probe i q =
   Fault.with_scope i @@ fun () ->
   if breaker_blocks t probe i then Error (Circuit_open, 0)
@@ -410,7 +402,7 @@ let compile_prep t ~timeout ~probe i q =
     | Bk _ ->
         (* opaque backends have no compile phase: evaluation happens
            in eval_one, under the same deadline *)
-        Ok ([||], deadline, 0)
+        Ok ([||], false, deadline, 0)
     | Sk { sk; cache; pcache; _ } ->
         let rec attempt k =
           match
@@ -421,11 +413,10 @@ let compile_prep t ~timeout ~probe i q =
                 List.fold_left (fun a e -> a + Embed.size e) 0 embs
               in
               if nodes > t.max_embed_nodes then `Guard
-              else
-                `Plans (Plan.plans_cached pcache ~key:(Embed.cache_key q) sk embs)
+              else `Plans (Plan.find_or_compile pcache ~key:(Embed.cache_key q) embs)
             end
           with
-          | `Plans plans -> Ok (plans, deadline, k)
+          | `Plans (plans, compiled) -> Ok (plans, compiled, deadline, k)
           | `Guard -> Error (Guard, k)
           | exception _ when k < t.retry_limit && now () <= deadline ->
               Metrics.incr c_retries;
@@ -460,13 +451,10 @@ let estimate_batch ?timeout_s ?trace_id t queries =
       @@ fun () ->
       let t0 = now () in
       (* enumeration and plan compilation on the owner domain against
-         the session caches; frozen before any fan-out (the cache
-         ownership rule) *)
-      (match t.core with
-      | Sk { cache; pcache; _ } ->
-          Embed.thaw cache;
-          Plan.thaw pcache
-      | Bk _ -> ());
+         the session caches; the embedding cache is frozen before any
+         fan-out (the cache ownership rule), and workers only run the
+         plans they are handed *)
+      (match t.core with Sk { cache; _ } -> Embed.thaw cache | Bk _ -> ());
       let probe = ref None in
       let prepped =
         Trace.with_span ~name:"engine.embed_batch" (fun () ->
@@ -474,15 +462,11 @@ let estimate_batch ?timeout_s ?trace_id t queries =
               (fun i q -> (q, compile_prep t ~timeout ~probe i q))
               queries)
       in
-      (match t.core with
-      | Sk { cache; pcache; _ } ->
-          Embed.freeze cache;
-          Plan.freeze pcache
-      | Bk _ -> ());
+      (match t.core with Sk { cache; _ } -> Embed.freeze cache | Bk _ -> ());
       let earr = Array.of_list prepped in
       let run (q, prep) =
         match prep with
-        | Ok (plans, deadline, retries) ->
+        | Ok (plans, _, deadline, retries) ->
             let a = eval_one t ~trace_id ~deadline q plans in
             { a with retries = a.retries + retries }
         | Error (reason, retries) ->
@@ -560,22 +544,13 @@ let estimate ?timeout_s t q =
   | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
-(* Per-query provenance: which tier of the plan economy answered       *)
+(* Per-query provenance: which plan tier answered                      *)
 
-type plan_tier =
-  | Cache_hit
-  | Repatch
-  | Skeleton_adoption
-  | Fresh_compile
-  | Reference_interp
-  | Backend_opaque
+type plan_tier = Cache_hit | Fresh_compile | Backend_opaque
 
 let tier_label = function
   | Cache_hit -> "cache_hit"
-  | Repatch -> "repatch"
-  | Skeleton_adoption -> "skeleton_adoption"
   | Fresh_compile -> "fresh_compile"
-  | Reference_interp -> "reference_interp"
   | Backend_opaque -> "backend"
 
 type provenance = {
@@ -585,15 +560,9 @@ type provenance = {
   pv_embeddings : int;
 }
 
-(* Tier classification reads the process-global plan counters around
-   this query's (owner-domain, sequential) compile phase. A fresh
-   compile also runs the shared payload phase, so [plan.compiles] is
-   checked before [plan.repatches]; adoption and interpretation are
-   tier-path outcomes and take precedence over the repatch they may
-   also book. Concurrent compile phases of OTHER sessions on other
-   domains could alias into the deltas — xtwigd drains tenant queues
-   from one thread, so its explains are exact; a multi-threaded
-   embedder should serialize explain calls itself. *)
+(* The tier is what this query's own cache lookup reported, so
+   compiles in other sessions or on other domains cannot leak into
+   it. *)
 let explain ?timeout_s ?trace_id t q =
   if t.closed then Error (Xerror.Engine "session is closed")
   else begin
@@ -609,30 +578,13 @@ let explain ?timeout_s ?trace_id t q =
         ~args:[ ("trace_id", string_of_int tid) ]
       @@ fun () ->
       let t0 = now () in
-      (match t.core with
-      | Sk { cache; pcache; _ } ->
-          Embed.thaw cache;
-          Plan.thaw pcache
-      | Bk _ -> ());
+      (match t.core with Sk { cache; _ } -> Embed.thaw cache | Bk _ -> ());
       let probe = ref None in
-      let snap () =
-        ( Counters.get "plan.cache_hits",
-          Counters.get "plan.compiles",
-          Counters.get "plan.repatches",
-          Counters.get "plan.skeleton_adoptions",
-          Counters.get "plan.interp_estimates" )
-      in
-      let _h0, c0, r0, s0, i0 = snap () in
       let prep = compile_prep t ~timeout ~probe 0 q in
-      let _h1, c1, r1, s1, i1 = snap () in
-      (match t.core with
-      | Sk { cache; pcache; _ } ->
-          Embed.freeze cache;
-          Plan.freeze pcache
-      | Bk _ -> ());
+      (match t.core with Sk { cache; _ } -> Embed.freeze cache | Bk _ -> ());
       let a =
         match prep with
-        | Ok (plans, deadline, retries) -> (
+        | Ok (plans, _, deadline, retries) -> (
             match
               Fault.with_scope 0 (fun () -> eval_one t ~trace_id:tid ~deadline q plans)
             with
@@ -656,17 +608,13 @@ let explain ?timeout_s ?trace_id t q =
       if a.reason = Some Timeout then Counters.incr c_timeouts;
       t.estimate_s <- t.estimate_s +. (now () -. t0);
       let tier =
-        match t.core with
-        | Bk _ -> Backend_opaque
-        | Sk _ ->
-            if c1 > c0 then Fresh_compile
-            else if s1 > s0 then Skeleton_adoption
-            else if i1 > i0 then Reference_interp
-            else if r1 > r0 then Repatch
-            else Cache_hit
+        match (t.core, prep) with
+        | Bk _, _ -> Backend_opaque
+        | Sk _, Ok (_, true, _, _) -> Fresh_compile
+        | Sk _, _ -> Cache_hit
       in
       let embeddings =
-        match prep with Ok (plans, _, _) -> Array.length plans | Error _ -> 0
+        match prep with Ok (plans, _, _, _) -> Array.length plans | Error _ -> 0
       in
       let backend =
         match t.core with Sk _ -> "xsketch" | Bk inst -> Backend.name_of inst
@@ -686,10 +634,9 @@ let explain ?timeout_s ?trace_id t q =
 (* Swap the core for one maintained incrementally across a subtree
    splice. Runs on the owner domain between batches (the same
    single-writer discipline as [stats] / [close]): workers only ever
-   see the core their batch captured. The embedding cache is keyed to
-   the synopsis and must start fresh; the plan cache chains the old
-   one as its fallback so the first batch after an update repatches
-   matching skeletons instead of compiling from nothing. *)
+   see the core their batch captured. Both caches are keyed to the old
+   sketch and start fresh: each query compiles again on its first
+   sighting after the update. *)
 let update t delta =
   if t.closed then Error (Xerror.Engine "session is closed")
   else
@@ -700,17 +647,16 @@ let update t delta =
              (Printf.sprintf
                 "Engine.update: %s-backend session holds no document"
                 (Backend.name_of inst)))
-    | Sk { sk; pcache; _ } -> (
+    | Sk { sk; _ } -> (
         match Sketch.apply_delta sk delta with
         | sk' ->
-            let syn' = Sketch.synopsis sk' in
             t.core <-
               Sk
                 {
                   sk = sk';
                   coarse = Sketch.default_of_doc (Sketch.doc sk');
-                  cache = Embed.create_cache syn';
-                  pcache = Plan.create_cache ~fallback:pcache syn';
+                  cache = Embed.create_cache (Sketch.synopsis sk');
+                  pcache = Plan.create_cache sk';
                 };
             Ok ()
         | exception Invalid_argument msg -> Error (Xerror.Usage msg)

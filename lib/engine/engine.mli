@@ -5,16 +5,23 @@
     system treats it as a session: build (or load) a synopsis once,
     then answer batches of twig queries against it for the lifetime of
     the process. [Engine.t] packages exactly that — the built sketch,
-    a coarse fallback sketch, a long-lived embedding cache, and an
-    optional {!Xtwig_util.Pool} of worker domains that evaluates the
-    queries of a batch concurrently.
+    a coarse fallback sketch, a long-lived embedding cache, a plan
+    cache, and an optional {!Xtwig_util.Pool} of worker domains that
+    evaluates the queries of a batch concurrently.
+
+    A session is the one place plans are compiled
+    ({!Xtwig_sketch.Plan}): a query compiles on its first sighting
+    and its plans are run from then on. Everything else a session
+    computes once — the coarse fallback, XBUILD's estimates in
+    {!create} — runs the recursive evaluator.
 
     {2 Concurrency model}
 
     One domain owns the session (creates it, submits batches, reads
     stats, closes it). Within a batch, embedding enumeration and plan
-    compilation run on the owner against the session caches (warm,
-    then freeze), and per-query evaluation fans out to the pool;
+    compilation run on the owner against the session caches (the
+    owner is their only writer), and per-query evaluation fans out to
+    the pool;
     results return in query order, so a batch's answers are identical
     whatever [jobs] is.
 
@@ -202,20 +209,14 @@ val estimate :
 
 (** {2 Estimate provenance}
 
-    The plan economy (PR 4/6) decides per query how much work an
-    estimate costs — serve compiled plans from cache, repatch a stale
-    entry's payload, adopt a cached skeleton, compile fresh, or (under
-    tiered execution) interpret through the reference evaluator.
-    {!explain} surfaces that decision per request instead of only in
-    aggregate counters. *)
+    A session compiles a query's plans on its first sighting and runs
+    the cached plans from then on. {!explain} reports which of the two
+    happened for one request, as its own cache lookup saw it. *)
 
 type plan_tier =
-  | Cache_hit  (** valid compiled plans served straight from cache *)
-  | Repatch  (** a stale entry's payload constants were rebuilt *)
-  | Skeleton_adoption  (** an isomorphic cached skeleton was adopted *)
-  | Fresh_compile  (** at least one plan went through full compilation *)
-  | Reference_interp  (** tier declined to compile; reference evaluator answered *)
-  | Backend_opaque  (** an {!of_backend} session — no plan economy *)
+  | Cache_hit  (** the query's compiled plans were served from the cache *)
+  | Fresh_compile  (** this request compiled the query's plans *)
+  | Backend_opaque  (** an {!of_backend} session — no plans *)
 
 val tier_label : plan_tier -> string
 (** Stable lowercase token, e.g. ["cache_hit"] — the wire encoding of
@@ -234,12 +235,10 @@ val explain :
   ?timeout_s:float -> ?trace_id:int -> t -> Xtwig_path.Path_types.twig ->
   (provenance, Xtwig_util.Xerror.t) result
 (** Evaluate one query (inline on the owner, identical estimate to
-    {!estimate}) and report its provenance. Tier classification reads
-    the process-global plan counters around this query's sequential
-    compile phase, so it is exact when at most one session is
-    compiling at a time (the [xtwigd] drain loop's situation);
-    concurrent compile phases of other sessions can alias into it.
-    Never raises; same error contract as {!estimate_batch}. *)
+    {!estimate}) and report its provenance. The tier is the outcome of
+    this query's own plan-cache lookup, so concurrent compiles in
+    other sessions or on other domains never leak into it. Never
+    raises; same error contract as {!estimate_batch}. *)
 
 val update :
   t -> Xtwig_sketch.Sketch.delta -> (unit, Xtwig_util.Xerror.t) result
@@ -247,10 +246,9 @@ val update :
     in the incrementally maintained sketch
     ({!Xtwig_sketch.Sketch.apply_delta}): summaries untouched by the
     edit are reused in place, the coarse fallback is rebuilt over the
-    new document, the embedding cache starts fresh (it is keyed to the
-    synopsis), and the plan cache chains the old one as its fallback
-    so the next batch repatches matching skeletons instead of
-    compiling cold.
+    new document, and the embedding and plan caches start fresh (they
+    are keyed to the old sketch), so each query compiles again on its
+    first sighting after the update.
 
     Owner-domain only, between batches — the same single-writer
     discipline as {!stats} and {!close}; a batch in flight keeps the

@@ -6,16 +6,11 @@ type bucket = {
   hi : int array;
 }
 
-(* Interned flat bucket table: the bucket list of one histogram laid
-   out as dense arrays (bucket-major for the per-dimension columns),
-   with the context bounds pre-widened by the ±0.5 compatibility slack
-   and P(count >= 1) precomputed per (bucket, dim). Tables are
-   hash-consed on their content, so structurally identical histograms
-   — common across XBUILD's incremental rebuilds — share one table and
-   one identity key ([tid]), which makes "same histogram?" an integer
-   comparison for compiled-plan validation. *)
+(* Flat bucket table: the bucket list of one histogram laid out as
+   dense arrays (bucket-major for the per-dimension columns), with the
+   context bounds pre-widened by the ±0.5 compatibility slack and
+   P(count >= 1) precomputed per (bucket, dim). *)
 type table = {
-  tid : int;
   tdims : int;
   tn : int;  (* bucket count *)
   tfrac : float array;  (* tn *)
@@ -29,9 +24,9 @@ type t = {
   dims : int;
   buckets : bucket list;
   exact : bool;
-  (* lazily-computed interned table; the benign race (two domains
-     computing it concurrently) resolves to the same canonical table,
-     so a torn publish can at worst duplicate the computation *)
+  (* lazily-computed flat table; the benign race (two domains computing
+     it concurrently) publishes one of two equal tables, so at worst
+     the computation is duplicated *)
   mutable tbl : table option;
 }
 
@@ -197,18 +192,6 @@ let p_ge1 b d =
 (* ------------------------------------------------------------------ *)
 (* Hash-consed flat tables                                             *)
 
-(* The intern key is the full table content (sans id). [count] is not
-   part of it: estimation reads only frac/mean/lo/hi, so histograms
-   differing only in absolute counts are interchangeable here. *)
-let intern_tbl :
-    ( int * float array * float array * float array * float array * float array,
-      table )
-    Hashtbl.t =
-  Hashtbl.create 256
-
-let intern_lock = Mutex.create ()
-let next_tid = ref 0 (* guarded by intern_lock *)
-
 let table t =
   match t.tbl with
   | Some tb -> tb
@@ -232,39 +215,9 @@ let table t =
             thi.(o) <- float_of_int bucket.hi.(d) +. 0.5
           done)
         t.buckets;
-      let key = (k, tfrac, tmean, tp1, tlo, thi) in
-      Mutex.lock intern_lock;
-      let tb =
-        match Hashtbl.find_opt intern_tbl key with
-        | Some tb -> tb
-        | None ->
-            let tb =
-              {
-                tid = !next_tid;
-                tdims = k;
-                tn = n;
-                tfrac;
-                tmean;
-                tp1;
-                tlo;
-                thi;
-              }
-            in
-            incr next_tid;
-            Hashtbl.add intern_tbl key tb;
-            tb
-      in
-      Mutex.unlock intern_lock;
+      let tb = { tdims = k; tn = n; tfrac; tmean; tp1; tlo; thi } in
       t.tbl <- Some tb;
       tb
-
-let table_id t = (table t).tid
-
-let interned_tables () =
-  Mutex.lock intern_lock;
-  let n = Hashtbl.length intern_tbl in
-  Mutex.unlock intern_lock;
-  n
 
 let marginal_frac t ~ctx =
   List.fold_left

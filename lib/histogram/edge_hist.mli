@@ -71,19 +71,14 @@ val expected_product : t -> over:int list -> float
 
 val mean : t -> int -> float
 
-(** {1 Hash-consed flat bucket tables}
+(** {1 Flat bucket tables}
 
     The compiled estimation kernel (see [lib/xsketch/plan.ml]) iterates
     buckets in tight array loops. {!table} lays the bucket list out as
-    dense arrays and {e interns} the result on its content: two
-    histograms with identical buckets — the common case across XBUILD's
-    incremental sketch rebuilds — share one table, and sharing is
-    checkable by comparing {!table_id}s (or the tables physically).
-    Interning is thread-safe; the per-histogram memo field makes
-    repeated calls free. *)
+    dense arrays, once per histogram: the per-histogram memo field
+    makes repeated calls free. *)
 
 type table = private {
-  tid : int;  (** identity key, unique per distinct content *)
   tdims : int;
   tn : int;  (** bucket count *)
   tfrac : float array;  (** [tn] bucket fractions, in bucket order *)
@@ -94,15 +89,7 @@ type table = private {
 }
 
 val table : t -> table
-(** The interned flat table of this histogram (memoized). *)
-
-val table_id : t -> int
-(** [table_id a = table_id b] iff [a] and [b] have identical bucket
-    contents (fractions, means, bounds). *)
-
-val interned_tables : unit -> int
-(** Number of distinct tables interned process-wide (monotone; exposed
-    for tests and leak diagnostics). *)
+(** The flat table of this histogram (memoized). *)
 
 val size_bytes : t -> int
 (** Storage charge: 4 bytes per stored scalar — per bucket one

@@ -115,8 +115,9 @@ val decode_answer : string -> (wire_answer, string) result
 val encode_provenance : Xtwig.Engine.provenance -> string
 (** The [explain] reply body: one [key value] pair per line — [answer]
     (in the {!encode_answer} wire format, so estimates stay
-    byte-comparable), [backend], [tier] ({!Xtwig.Engine.tier_label}),
-    [embeddings], [retries], [fallback_reason], [elapsed_us],
+    byte-comparable), [backend], [tier] ({!Xtwig.Engine.tier_label}:
+    [cache_hit], [fresh_compile] or [backend]), [embeddings],
+    [retries], [fallback_reason], [elapsed_us],
     [trace_id]. *)
 
 val encode_plan : Xtwig.Opt.plan -> string

@@ -18,6 +18,10 @@ let to_string = function
   | Float f -> Printf.sprintf "%.6g" f
   | Text s -> s
 
+(* Non-finite floats stay text: OCaml's literal grammar reads "nan",
+   "inf" and "infinity" (any case, any sign) and overflowing exponents
+   as floats, but element text that says "nan" is a word, and a
+   [Float nan] would not even equal itself. *)
 let of_string s =
   if s = "" then Null
   else
@@ -25,8 +29,8 @@ let of_string s =
     | Some i -> Int i
     | None -> (
         match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> Text s)
+        | Some f when Float.is_finite f -> Float f
+        | Some _ | None -> Text s)
 
 (* [of_string] over a byte slice without materialising the string for
    the common shapes. The classification must agree with [of_string]
@@ -36,7 +40,8 @@ let of_string s =
      manually — same result as [int_of_string];
    - a slice whose first character can start neither an int nor a
      float literal (any letter but the inf/nan starters) is [Text];
-   everything else falls back to [of_string] on the extracted slice. *)
+   everything else falls back to [of_string] on the extracted slice,
+   which also keeps non-finite literals as [Text]. *)
 (* One scan rejecting slices no numeric literal can match, so common
    almost-numeric texts (dates, phone numbers, "0417 9931") skip two
    failed parses in [of_slice]. Sound because OCaml int/float literals

@@ -21,8 +21,10 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Inverse of {!to_string} modulo numeric canonicalization: integers
-    parse to [Int], other numbers to [Float], everything else to
-    [Text]; [""] parses to [Null]. *)
+    parse to [Int], other finite numbers to [Float], everything else
+    to [Text] — including the non-finite literals OCaml's grammar
+    accepts ([nan], [inf], [infinity] in any case and with any sign,
+    and exponents that overflow); [""] parses to [Null]. *)
 
 val of_slice : Bytes.t -> pos:int -> len:int -> t
 (** [of_string] over a byte slice, allocating the string only when the

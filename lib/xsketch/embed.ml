@@ -365,71 +365,3 @@ let pp syn ppf e =
       e.kids
   in
   go "" e
-
-(* ------------------------------------------------------------------ *)
-(* Structural correspondence between two enumerations                  *)
-
-(* Two enumerations of one query against structurally-identical
-   synopses (e.g. before/after a no-effect split, whose result is a
-   fresh graph with fresh node ids) produce trees of the same shape
-   with renamed synopsis nodes. [structural_remap] walks both in
-   lockstep, checking shape and binding synopsis nodes bijectively; on
-   success the compiled-plan cache repatches the old plans onto the
-   new sketch under the renaming instead of recompiling. Value
-   predicates are compared by presence only: plan structure never
-   depends on the predicate's constant (the value fractions it feeds
-   are payload, recomputed from the new tree on repatch), so two
-   different queries whose trees differ only in predicate constants
-   still correspond. A non-bijective correspondence (one old node
-   matching two new ones, or vice versa) means the partitions
-   genuinely differ and the walk fails. *)
-let same_presence a b =
-  match (a, b) with None, None | Some _, Some _ -> true | _ -> false
-
-let structural_remap (olds : enode list) (news : enode list) :
-    ((int, enode) Hashtbl.t * (int, int) Hashtbl.t * (int, int) Hashtbl.t)
-    option =
-  let emap = Hashtbl.create 64 in
-  let o2n = Hashtbl.create 32 in
-  let n2o = Hashtbl.create 32 in
-  let bind a b =
-    match (Hashtbl.find_opt o2n a, Hashtbl.find_opt n2o b) with
-    | Some b', Some a' -> b' = b && a' = a
-    | None, None ->
-        Hashtbl.add o2n a b;
-        Hashtbl.add n2o b a;
-        true
-    | _ -> false
-  in
-  let rec walk_b (ob : ebranch) (nb : ebranch) =
-    bind ob.bnode nb.bnode
-    && same_presence ob.bvpred nb.bvpred
-    && List.compare_lengths ob.bsubs nb.bsubs = 0
-    && List.for_all2
-         (fun oa na ->
-           List.compare_lengths oa na = 0 && List.for_all2 walk_b oa na)
-         ob.bsubs nb.bsubs
-  in
-  let rec walk (oe : enode) (ne : enode) =
-    bind oe.snode ne.snode
-    && same_presence oe.vpred ne.vpred
-    && List.compare_lengths oe.branches ne.branches = 0
-    && List.for_all2
-         (fun oa na ->
-           List.compare_lengths oa na = 0 && List.for_all2 walk_b oa na)
-         oe.branches ne.branches
-    && List.compare_lengths oe.kids ne.kids = 0
-    && List.for_all2
-         (fun oa na ->
-           List.compare_lengths oa na = 0 && List.for_all2 walk oa na)
-         oe.kids ne.kids
-    && begin
-         Hashtbl.replace emap oe.eid ne;
-         true
-       end
-  in
-  if
-    List.compare_lengths olds news = 0
-    && List.for_all2 walk olds news
-  then Some (emap, o2n, n2o)
-  else None

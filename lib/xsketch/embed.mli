@@ -125,18 +125,3 @@ val size : enode -> int
     nodes excluded). *)
 
 val pp : Xtwig_synopsis.Graph_synopsis.t -> Format.formatter -> enode -> unit
-
-val structural_remap :
-  enode list ->
-  enode list ->
-  ((int, enode) Hashtbl.t * (int, int) Hashtbl.t * (int, int) Hashtbl.t) option
-(** [structural_remap olds news] walks two enumerations of one query in
-    lockstep and, when they have identical shape and value predicates
-    up to a bijective renaming of synopsis nodes, returns
-    [(emap, o2n, n2o)]: old embedding id to new {!enode}, and the
-    old-to-new / new-to-old synopsis-node bijection. This is how the
-    compiled-plan cache recognizes re-enumerations against a
-    structurally-identical synopsis (e.g. the fresh node ids a
-    no-effect split produces) and repatches instead of recompiling.
-    [None] when the shapes differ or the correspondence is not
-    bijective. *)

@@ -286,41 +286,21 @@ let estimate_embedding sketch (root : enode) =
   *. expand root []
 
 let t_estimate = Xtwig_util.Counters.timer "estimator.ns"
-let t_reference = Xtwig_util.Counters.timer "estimator.reference_ns"
 
-let embeddings_of ?max_alternatives ?cache syn twig =
-  match cache with
-  | Some c -> Embed.embeddings_cached c ?max_alternatives syn twig
-  | None -> Embed.embeddings ?max_alternatives syn twig
-
-(* The recursive evaluator above, kept as the differential baseline
-   for the compiled plans (timed separately so estimator.ns tracks
-   only the production path). *)
-let estimate_reference ?max_alternatives ?cache sketch twig =
-  Xtwig_obs.Trace.with_span ~name:"estimator.estimate_reference" @@ fun () ->
-  Xtwig_util.Counters.time t_reference @@ fun () ->
-  let embs = embeddings_of ?max_alternatives ?cache (Sketch.synopsis sketch) twig in
-  List.fold_left (fun acc e -> acc +. estimate_embedding sketch e) 0.0 embs
-
-(* Production path: compile each embedding into a flat plan and run
-   it. When [plans] is given and keyed to this sketch's synopsis, the
-   compiled plans are cached per query alongside the embedding cache
-   and revalidated against [sketch] on every reuse. *)
-let estimate ?max_alternatives ?cache ?plans sketch twig =
+(* The production one-shot path: XBUILD scores each refinement
+   candidate by estimating every workload query once against it, so a
+   compiled plan would almost never run twice. Only an engine session,
+   which sees the same queries again and again, compiles ({!Plan}). *)
+let estimate ?max_alternatives ?cache sketch twig =
   Xtwig_obs.Trace.with_span ~name:"estimator.estimate" @@ fun () ->
   Xtwig_util.Counters.time t_estimate @@ fun () ->
   let syn = Sketch.synopsis sketch in
-  let embs = embeddings_of ?max_alternatives ?cache syn twig in
-  match plans with
-  | Some pc when Plan.cache_synopsis pc == syn ->
-      (* the reference evaluator backs tiered execution: a cold
-         structure's first sighting is interpreted instead of paying
-         for a throwaway compile; bit-identical either way *)
-      Plan.estimate_cached pc
-        ~interp:(fun e -> estimate_embedding sketch e)
-        ~key:(Embed.cache_key ?max_alternatives twig)
-        sketch embs
-  | _ -> Plan.estimate_once sketch embs
+  let embs =
+    match cache with
+    | Some c -> Embed.embeddings_cached c ?max_alternatives syn twig
+    | None -> Embed.embeddings ?max_alternatives syn twig
+  in
+  List.fold_left (fun acc e -> acc +. estimate_embedding sketch e) 0.0 embs
 
 let estimate_path sketch p =
   estimate sketch { Xtwig_path.Path_types.path = p; subs = [] }

@@ -36,37 +36,25 @@ val estimate_embedding : Sketch.t -> Embed.enode -> float
 (** Estimate for one factored embedding: sums over each twig child's
     alternative assignments are distributed through the product over
     children (per bucket), which evaluates the full cross product of
-    assignments without materializing it. This is the {e reference}
-    recursive evaluator; the production path compiles the same
-    traversal into a flat plan ({!Plan}) whose result is byte-identical
-    by construction. *)
+    assignments without materializing it. This recursive evaluator is
+    the production path for one-shot estimates; an engine session
+    compiles the same traversal into flat plans ({!Plan}) whose result
+    is bit-identical by construction. *)
 
 val estimate :
   ?max_alternatives:int ->
   ?cache:Embed.cache ->
-  ?plans:Plan.cache ->
   Sketch.t ->
   Xtwig_path.Path_types.twig ->
   float
-(** Sum over all embeddings of the query, evaluated through compiled
-    plans. When [cache] is given and keyed to this sketch's synopsis,
-    the embedding enumeration is shared across calls (and across the
+(** Sum over all embeddings of the query, in enumeration order, each
+    through {!estimate_embedding}; timed under [estimator.ns]. When
+    [cache] is given and keyed to this sketch's synopsis, the
+    embedding enumeration is shared across calls (and across the
     sketches of one XBUILD scoring step, which differ only in
-    histograms). When [plans] is likewise keyed, compiled plans are
-    cached per query and revalidated against [sketch] on reuse; a
-    plans cache for a different synopsis is bypassed. Estimates are
-    identical with or without either cache, and bit-identical to
-    {!estimate_reference}. *)
-
-val estimate_reference :
-  ?max_alternatives:int ->
-  ?cache:Embed.cache ->
-  Sketch.t ->
-  Xtwig_path.Path_types.twig ->
-  float
-(** The recursive evaluator, kept as the differential-testing baseline
-    for the compiled path (timed under [estimator.reference_ns], not
-    [estimator.ns]). *)
+    histograms). Estimates are identical with or without it. Compiles
+    nothing: plans pay off only for queries seen again, which is the
+    engine session's case. *)
 
 val estimate_path : Sketch.t -> Xtwig_path.Path_types.path -> float
 (** Single-path-expression cardinality (a chain twig). *)

@@ -1,47 +1,36 @@
-(** Compiled estimation plans (see DESIGN.md §12, "Plan compilation &
-    caching").
+(** Compiled estimation plans (see DESIGN.md §12, "Plan compilation").
 
-    A plan is the compilation of a factored embedding against one
-    sketch, factored into two phases:
-
-    - a {e structure} phase — the TREEPARSE-style analysis of the
-      reference evaluator (which histograms to enumerate, which kid
-      alternatives are bucket-dependent, which environment entries
-      exist at each program point, the scratch-cell layout), a pure
-      function of the twig shape and the synopsis partition structure,
-      summarized by a renaming-invariant {!signature};
-    - a {e payload} phase — the interned bucket tables and float
-      constants read from one concrete sketch, rebuilt in isolation by
-      the repatch path when only payloads changed.
+    A plan is the compilation of one factored embedding against one
+    sketch: the TREEPARSE-style analysis of the recursive evaluator
+    (which histograms to enumerate, which kid alternatives are
+    bucket-dependent, which environment entries exist at each program
+    point, the scratch-cell layout) together with the bucket tables
+    and float constants it reads from that sketch.
 
     {!run} interprets the plan as a flat numeric kernel over a
     per-domain [Bigarray] float64 arena and the plan's int32 slab,
     allocating zero words on the OCaml heap in steady state (held by a
     [Gc.minor_words] delta over {!run_batch} in test/test_plan.ml).
 
-    {b Byte-identity:} [run (compile sk e)] replays the reference
+    Compiling pays off only when a plan runs many times, so plans are
+    compiled in one place: an engine session's {!cache}. Every other
+    estimate (XBUILD's candidate scoring, the optimizer's costing, the
+    CLI) runs the recursive evaluator {!Estimator.estimate}.
+
+    {b Byte-identity:} [run (compile sk e)] replays the recursive
     evaluator's floating-point operations in the exact same order, so
-    it equals [Estimator.estimate_embedding sk e] bit-for-bit —
-    whether the plan came from {!compile} or from a repatch (every
-    payload constant is a pure function of the sketch). Held by
+    it equals [Estimator.estimate_embedding sk e] bit-for-bit. Held by
     test/test_plan.ml. *)
 
 type t
 
 val compile : Sketch.t -> Embed.enode -> t
-(** Compile one embedding against one sketch (both phases). Counted
-    under [plan.compiles]; the structure phase is timed under
-    [plan.compile_ns] and the payload phase under [plan.repatch_ns]
-    (it IS a repatch, and counts as one), so [plan.compile_ns]
-    measures exactly the work a repatch skips. *)
+(** Compile one embedding against one sketch. Counted under
+    [plan.compiles], timed under [plan.compile_ns]. *)
 
-val signature : t -> int
-(** The plan's structural signature: a hash of the embedding-tree
-    shape and the dimension layouts at the visited synopsis nodes,
-    with node ids replaced by dense first-visit numbers — invariant
-    under any consistent renaming of synopsis nodes, so payload-only
-    refinements and structure-preserving re-partitions keep it
-    stable. *)
+val compile_roots : Sketch.t -> Embed.enode list -> t array
+(** Compile every embedding of one query, in enumeration order,
+    sharing one compile context. *)
 
 val run : t -> float
 (** Evaluate a compiled plan (the estimate of its embedding). Counted
@@ -55,96 +44,24 @@ val run_batch : t array -> float array -> unit
     entry point ([Invalid_argument] when [out] is shorter than
     [ts]). *)
 
-val valid : t -> Sketch.t -> bool
-(** Whether the plan may be reused for [sketch] as-is: the same
-    sketch, or the same synopsis graph with unchanged histograms
-    (physically, or by interned-table identity) and value summaries at
-    every synopsis node the plan reads. XBUILD's incremental rebuilds
-    share summary objects across candidates, so most non-structural
-    refinements keep most plans valid. *)
+(** {1 Session plan cache}
 
-val repatch : t -> Sketch.t -> t option
-(** Payload-phase-only recompilation: when [sketch] shares the plan's
-    synopsis and the dimension structure of every histogram the plan
-    enumerates is unchanged, rebuild the bucket tables and float
-    constants onto the existing skeleton. [None] when the structure
-    phase would have to rerun. Counted under [plan.repatches], timed
-    under [plan.repatch_ns]. *)
-
-val compile_roots : Sketch.t -> Embed.enode list -> t array
-(** Compile every embedding of one query, in enumeration order. *)
-
-val run_all : t array -> float
-(** Sum of {!run} over the plans, in order — the query estimate.
-    Timed under [plan.run_ns]. *)
-
-val estimate_once : Sketch.t -> Embed.enode list -> float
-(** Compile-and-run without caching (for one-shot sketches, e.g.
-    XBUILD's structural candidates that keep no cache). *)
-
-(** {1 Plan cache}
-
-    Keyed like the embedding cache — one synopsis by physical
-    identity, queries by {!Embed.cache_key} — and governed by the same
-    single-owner freeze discipline: one domain warms and thaws, worker
-    domains read lock-free after {!freeze} and never insert. Entries
-    are spread over [2^4] shards by key hash, each with its own
-    insertion mutex, so concurrent owner-phase fills from a pool touch
-    one shard and no global lock.
-
-    A cached entry is reused directly when the caller's embeddings are
-    physically the cached ones and every plan still {!valid}-ates
-    ([plan.cache_hits]). A stale entry is {e repaired}, cheapest
-    mechanism first: payload drift repatches plan-by-plan, structure
-    drift recompiles only the affected plans, and a re-enumeration of
-    an unchanged shape (fresh embedding objects, or the fresh synopsis
-    node ids of a structure-preserving split reached through the
-    [fallback] cache) cross-repatches under the structural renaming of
-    {!Embed.structural_remap}. Repairs of this cache's own entries
-    count under [plan.cache_invalidations], split by cause into
-    [plan.invalidation{cause=payload|structure}]; entries replaced
-    because the embeddings were re-enumerated into a different shape
-    are evictions, counted only under [plan.invalidation{cause=evict}].
-    First-time compiles count under [plan.cache_misses]; successful
-    cross-cache reuse under [plan.fallback_reuses]. *)
+    One sketch's compiled plans, keyed by {!Embed.cache_key}. A query
+    compiles on its first lookup and its plans are run as they are
+    from then on: the sketch is immutable, so no entry ever needs
+    revalidating, and a session that swaps its sketch starts a new
+    cache. The cache has a single owner (the engine session's owning
+    domain), which does every lookup; the returned plans are immutable
+    and may be run on any domain. *)
 
 type cache
 
-val create_cache :
-  ?fallback:cache -> ?tiered:bool -> Xtwig_synopsis.Graph_synopsis.t -> cache
-(** [fallback] is the retiring cache this one replaces after a
-    structural refinement step: entries missing here but present there
-    are cross-repatched onto the new synopsis instead of recompiled.
-    The fallback must be quiescent (frozen, or owner-idle) for the
-    lifetime of the link; {!freeze} drops it, which also bounds
-    fallback chains at depth one.
+val create_cache : Sketch.t -> cache
 
-    [tiered] (default false) opts the cache into tiered execution:
-    when the caller supplies an interpreter ({!estimate_cached}'s
-    [interp]), a cold structure's first sighting within a generation
-    (one thaw/freeze phase) is answered by the reference evaluator
-    instead of the compiler; only structures that recur across
-    generations — the durable workload — compile. Untiered caches
-    keep the compile-always contract. *)
-
-val cache_synopsis : cache -> Xtwig_synopsis.Graph_synopsis.t
-val freeze : cache -> unit
-val thaw : cache -> unit
-
-val plans_cached : cache -> key:string -> Sketch.t -> Embed.enode list -> t array
-(** Get-or-compile the plans of one query ([key] is its
-    {!Embed.cache_key}; [roots] its embeddings for [sketch]). *)
-
-val estimate_cached :
-  ?interp:(Embed.enode -> float) ->
-  cache ->
-  key:string ->
-  Sketch.t ->
-  Embed.enode list ->
-  float
-(** [run_all (plans_cached ...)]. [interp] enables tiered execution:
-    the first sighting of a cold structure that cannot adopt a cached
-    skeleton is evaluated by [interp] (the caller's reference
-    evaluator — bit-identical to a compiled plan by construction)
-    instead of paying for a compile; only a structure seen again under
-    the same key compiles. Counted under [plan.interp_estimates]. *)
+val find_or_compile : cache -> key:string -> Embed.enode list -> t array * bool
+(** The plans of one query ([key] is its {!Embed.cache_key}, [roots]
+    its embeddings for the cache's sketch), and whether this lookup
+    compiled them. A hit counts under [plan.cache_hits]; a miss counts
+    under [plan.cache_misses], passes the [plan.fill] fault point, and
+    compiles every root. A miss that raises leaves the cache as it
+    was. *)

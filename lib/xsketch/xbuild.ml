@@ -81,7 +81,7 @@ let workload_error sketch ~truth queries =
       error_against ~truths ~sanity sketch queries
 
 let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1)
-    ?(vbudget0 = 2) ?on_step ?plan_cache_out ~workload ~truth ~budget doc =
+    ?(vbudget0 = 2) ?on_step ~workload ~truth ~budget doc =
   Counters.time t_build @@ fun () ->
   let prng = Prng.create seed in
   let sketch = ref (Sketch.default_of_doc ~ebudget:ebudget0 ~vbudget:vbudget0 doc) in
@@ -93,10 +93,6 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
      the synopsis; within one step every non-split candidate shares
      the enumeration warmed by the base-error pass *)
   let ecache = ref (Embed.create_cache (Sketch.synopsis !sketch)) in
-  (* compiled-plan cache, same lifecycle: recreated on structural
-     steps, revalidated entry-by-entry across the histogram-only
-     sketches of one scoring step *)
-  let pcache = ref (Plan.create_cache ~tiered:true (Sketch.synopsis !sketch)) in
   let step = ref 0 in
   let continue = ref true in
   while !continue && Sketch.size_bytes !sketch < budget && !step < max_steps do
@@ -128,20 +124,6 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
           !ecache
         end
       in
-      let plans =
-        if Plan.cache_synopsis !pcache == Sketch.synopsis !sketch then !pcache
-        else begin
-          (* a structural step replaced the synopsis: the retiring
-             cache becomes the fallback, so queries whose partition is
-             structurally unchanged cross-repatch their old plans
-             instead of recompiling. The base pass below migrates the
-             live entries; [Plan.freeze] then drops the link. *)
-          pcache :=
-            Plan.create_cache ~fallback:!pcache ~tiered:true
-              (Sketch.synopsis !sketch);
-          !pcache
-        end
-      in
       let qarr = Array.of_list queries in
       let nq = Array.length qarr in
       let base_terms = Array.make nq 0.0 in
@@ -149,7 +131,6 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
       let trunc = Array.make nq false in
       let syn0 = Sketch.synopsis !sketch in
       Embed.thaw cache;
-      Plan.thaw plans;
       (* the base-error pass warms [cache] with this step's queries
          (main domain) and records, per query, the synopsis nodes its
          embeddings touch: a candidate that changes none of them has a
@@ -159,12 +140,11 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
             let embs = Embed.embeddings_cached cache syn0 qarr.(i) in
             trunc.(i) <- Embed.last_truncated ();
             visited.(i) <- Embed.visited_nodes embs;
-            let est = Estimator.estimate ~cache ~plans !sketch qarr.(i) in
+            let est = Estimator.estimate ~cache !sketch qarr.(i) in
             let c = truths.(i) in
             base_terms.(i) <- Float.abs (est -. c) /. Stdlib.max sanity c
           done);
       Embed.freeze cache;
-      Plan.freeze plans;
       let base_error = Stats.mean base_terms in
       let base_size = Sketch.size_bytes !sketch in
       let score op =
@@ -185,19 +165,6 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
           let cand_cache =
             lazy (Embed.create_cache (Sketch.synopsis refined))
           in
-          (* a candidate-local plan cache never sees a repeated query,
-             but it carries the shared compile context, amortizing the
-             per-node analysis across this candidate's queries — and
-             the step's frozen shared cache as fallback, so a
-             structural candidate that leaves a query's partition
-             shape intact repatches that query's plans instead of
-             compiling them. Worker-local, so mutation is safe; the
-             fallback is frozen and only read. *)
-          let cand_plans =
-            lazy
-              (Plan.create_cache ~fallback:plans ~tiered:true
-                 (Sketch.synopsis refined))
-          in
           let err =
             let terms = Array.make nq 0.0 in
             for i = 0 to nq - 1 do
@@ -215,13 +182,8 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
               end
               else begin
                 Counters.incr c_est_computed;
-                let est =
-                  if same_syn then
-                    Estimator.estimate ~cache ~plans refined qarr.(i)
-                  else
-                    Estimator.estimate ~cache:(Lazy.force cand_cache)
-                      ~plans:(Lazy.force cand_plans) refined qarr.(i)
-                in
+                let cache = if same_syn then cache else Lazy.force cand_cache in
+                let est = Estimator.estimate ~cache refined qarr.(i) in
                 let c = truths.(i) in
                 terms.(i) <- Float.abs (est -. c) /. Stdlib.max sanity c
               end
@@ -266,8 +228,4 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
                 { step = !step; op; description; size; workload_error = err }))
     end
   done;
-  (* hand the warm (frozen, quiescent) plan cache to the caller: an
-     estimation session built on the result repatches the build's
-     plans instead of compiling its first batch cold *)
-  (match plan_cache_out with Some r -> r := Some !pcache | None -> ());
   !sketch

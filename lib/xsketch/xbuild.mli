@@ -35,7 +35,6 @@ val build :
   ?ebudget0:int ->
   ?vbudget0:int ->
   ?on_step:(Sketch.t -> step_info -> unit) ->
-  ?plan_cache_out:Plan.cache option ref ->
   workload:
     (Xtwig_util.Prng.t -> focus:string list -> Xtwig_path.Path_types.twig list) ->
   truth:(Xtwig_path.Path_types.twig -> float) ->
@@ -57,12 +56,11 @@ val build :
     reduction, so the resulting synopsis is {e bit-identical} to the
     sequential build — parallelism changes wall-clock time only.
 
-    [plan_cache_out], when given, receives the build's final shared
-    {!Plan.cache} (frozen, quiescent): a session created on the
-    returned sketch can adopt it — or chain it as the [fallback] of a
-    fresh cache when the last applied step was structural — and
-    repatch the build's plans instead of compiling its first queries
-    cold. *)
+    Every estimate runs the recursive evaluator
+    ({!Estimator.estimate}): each candidate sketch is scored once per
+    workload query, so a compiled plan would almost never run twice.
+    A build compiles no plans ([plan.compiles] and [plan.runs] do not
+    move). *)
 
 val workload_error :
   Sketch.t -> truth:(Xtwig_path.Path_types.twig -> float) ->

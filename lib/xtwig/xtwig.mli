@@ -85,7 +85,9 @@ val optimize : sketch -> twig -> Opt.plan
     The structural estimates of the stripped sub-twigs go through one
     memo per sketch, keyed by sub-twig text: a sketch is immutable, so
     a repeated sub-twig costs a table lookup instead of an embedding
-    enumeration and a plan compile, and plans are bit-equal to those
+    enumeration and a recursive evaluation ({!Xtwig_sketch.Estimator.estimate}
+    through {!Backend}; costing compiles no plans), and plans are
+    bit-equal to those
     priced afresh. The memo is held weakly (dropping or replacing the
     sketch frees it), is safe to share between domains, and is cleared
     whenever it reaches 4,096 entries. Counters [opt.memo_hits] and
@@ -148,10 +150,10 @@ val update_sketch : ?reuse:bool -> sketch -> delta -> (sketch, Xerror.t) result
 
 val update_session : Engine.t -> delta -> (unit, Xerror.t) result
 (** {!update_sketch} inside a live session: swaps the maintained
-    sketch in, rebuilds the coarse fallback, starts a fresh embedding
-    cache and chains the plan cache so the next batch repatches
-    instead of compiling cold. Owner-domain only, between batches —
-    see {!Engine.update}. *)
+    sketch in, rebuilds the coarse fallback, and starts fresh
+    embedding and plan caches, so each query compiles again on its
+    first sighting. Owner-domain only, between batches — see
+    {!Engine.update}. *)
 
 val save_sketch :
   ?budget:int -> ?seed:int -> sketch -> string -> (unit, Xerror.t) result
@@ -232,7 +234,9 @@ val explain :
   Engine.t ->
   twig ->
   (Engine.provenance, Xerror.t) result
-(** One query's estimate with its provenance — backend, plan tier,
+(** One query's estimate with its provenance — backend, plan tier
+    ([cache_hit] when the session had the query's plans, [fresh_compile]
+    when this request compiled them, [backend] on a backend session),
     embedding count, retries, fallback reason. See {!Engine.explain}. *)
 
 val close_session : Engine.t -> unit

@@ -1,17 +1,15 @@
-(* Compiled-plan tests: [Estimator.estimate] (compile-then-run) must
-   be bit-identical to [Estimator.estimate_reference] (the recursive
-   evaluator) — across datasets, workloads and refinement budgets —
-   and the plan cache must stay correct through reuse, histogram-only
-   invalidation (the repatch path) and structural invalidation. *)
+(* Compiled-plan tests: plans compiled against a sketch must be
+   bit-identical to [Estimator.estimate] (the recursive evaluator) —
+   across datasets, P and P+V workloads and refinement budgets — and
+   an engine session must compile each query once, then serve the
+   cached plans, correctly, also when its fills fail and retry. *)
 
-module G = Xtwig_synopsis.Graph_synopsis
 module Sketch = Xtwig_sketch.Sketch
-module Refinement = Xtwig_sketch.Refinement
 module Embed = Xtwig_sketch.Embed
 module Est = Xtwig_sketch.Estimator
 module Plan = Xtwig_sketch.Plan
 module Xbuild = Xtwig_sketch.Xbuild
-module Edge_hist = Xtwig_hist.Edge_hist
+module Engine = Xtwig_engine.Engine
 module Wgen = Xtwig_workload.Wgen
 module Prng = Xtwig_util.Prng
 module Counters = Xtwig_util.Counters
@@ -21,11 +19,13 @@ let docs =
   lazy
     [
       ("imdb", Xtwig_datagen.Imdb.generate ~scale:0.03 ());
-      ("sprot", Xtwig_datagen.Sprot.generate ~scale:0.03 ());
+      ("xmark", Xtwig_datagen.Xmark.generate ~scale:0.03 ());
     ]
 
+(* 15 structural (P) and 15 value-predicate (P+V) queries *)
 let queries_of doc =
-  Wgen.generate { Wgen.paper_p with Wgen.n_queries = 30 } (Prng.create 17) doc
+  Wgen.generate { Wgen.paper_p with Wgen.n_queries = 15 } (Prng.create 17) doc
+  @ Wgen.generate { Wgen.paper_pv with Wgen.n_queries = 15 } (Prng.create 18) doc
 
 (* An XBUILD run at [budget_mult] x the coarsest size: exercises plans
    over sketches that mix refined histograms, expanded dimensions,
@@ -38,7 +38,25 @@ let refined doc ~budget_mult =
   let budget = Sketch.size_bytes (Sketch.default_of_doc doc) * budget_mult in
   Xbuild.build ~seed:5 ~candidates:4 ~max_steps:12 ~workload ~truth ~budget doc
 
-(* 1. Compiled estimates are bit-equal to the reference evaluator on
+(* a query's estimate through freshly compiled plans, summed in
+   enumeration order like the evaluator's fold *)
+let compiled_estimate sk q =
+  Array.fold_left
+    (fun acc p -> acc +. Plan.run p)
+    0.0
+    (Plan.compile_roots sk (Embed.embeddings (Sketch.synopsis sk) q))
+
+let open_session sk =
+  match Engine.of_sketch ~retries:50 ~backoff_s:0.0 sk with
+  | Ok e -> e
+  | Error e -> Alcotest.fail (Xtwig_util.Xerror.to_string e)
+
+let session_estimate eng q =
+  match Engine.estimate eng q with
+  | Ok a -> a
+  | Error e -> Alcotest.fail (Xtwig_util.Xerror.to_string e)
+
+(* 1. Compiled estimates are bit-equal to the recursive evaluator on
    every dataset, at every refinement budget, for every query. *)
 let test_compiled_equals_reference () =
   List.iter
@@ -56,210 +74,44 @@ let test_compiled_equals_reference () =
             (fun i q ->
               Alcotest.(check (float 0.0))
                 (Printf.sprintf "%s/%s: q%d" name sname i)
-                (Est.estimate_reference sk q)
-                (Est.estimate sk q))
+                (Est.estimate sk q) (compiled_estimate sk q))
             queries)
         sketches)
     (Lazy.force docs)
 
-(* 2. The plan cache serves hits without changing values. *)
+(* 2. A session compiles a query on its first sighting only: the
+   second estimate of every query compiles nothing, hits the plan
+   cache, and returns the first answer bit for bit — both equal to
+   the evaluator. *)
 let test_plan_cache_hits () =
   let _, doc = List.hd (Lazy.force docs) in
   let sk = refined doc ~budget_mult:4 in
-  let queries = queries_of doc in
-  let cache = Embed.create_cache (Sketch.synopsis sk) in
-  let plans = Plan.create_cache (Sketch.synopsis sk) in
-  Counters.reset_all ();
-  List.iter
-    (fun q ->
-      let plain = Est.estimate_reference sk q in
-      let cold = Est.estimate ~cache ~plans sk q in
-      let warm = Est.estimate ~cache ~plans sk q in
-      Alcotest.(check (float 0.0)) "cold cached estimate" plain cold;
-      Alcotest.(check (float 0.0)) "warm cached estimate" plain warm)
-    queries;
-  Alcotest.(check bool)
-    "plan cache hits recorded" true
-    (Counters.get "plan.cache_hits" > 0);
-  (* a frozen cache still serves valid plans *)
-  Plan.freeze plans;
-  let q = List.hd queries in
-  Alcotest.(check (float 0.0))
-    "frozen plan cache still correct"
-    (Est.estimate_reference sk q)
-    (Est.estimate ~cache ~plans sk q)
-
-(* One histogram-only op (same synopsis, same dimension structure) and
-   one structure-changing op for the invalidation tests. The refined
-   node must carry a histogram some query's embeddings actually visit,
-   or every cached plan stays valid and nothing invalidates. *)
-(* Synopsis nodes appearing as tree nodes of some embedding — the only
-   nodes whose histograms compiled plans consult ([visited_nodes] also
-   lists branch-predicate nodes, which plans read through the synopsis,
-   not through histograms). *)
-let tree_nodes syn queries =
-  let seen = Hashtbl.create 32 in
-  let rec walk (e : Embed.enode) =
-    Hashtbl.replace seen e.Embed.snode ();
-    List.iter (List.iter walk) e.Embed.kids
-  in
-  List.iter (fun q -> List.iter walk (Embed.embeddings syn q)) queries;
-  List.sort_uniq compare (Hashtbl.fold (fun k () a -> k :: a) seen [])
-
-let hist_only_op sk queries =
-  let cfg = Sketch.config sk in
-  let syn = Sketch.synopsis sk in
-  let visited = tree_nodes syn queries in
-  (* plan validity keys on the interned bucket tables, so the op only
-     invalidates if some table at the node physically changes (a
-     refinement of an already-exact histogram re-interns to the same
-     table and leaves every plan valid) *)
-  let changes_a_table n =
-    let try_hist i =
-      let op = Refinement.Edge_refine { node = n; hist = i; extra_buckets = 4 } in
-      let applied = Refinement.apply sk op in
-      if
-        applied != sk
-        && Sketch.synopsis applied == syn
-        && List.exists2
-             (fun (_, a) (_, b) -> Edge_hist.table a != Edge_hist.table b)
-             (Sketch.hists sk n) (Sketch.hists applied n)
-      then Some applied
-      else None
-    in
-    List.find_map try_hist (List.mapi (fun i _ -> i) cfg.Sketch.especs.(n))
-  in
-  match List.find_map changes_a_table visited with
-  | Some r -> r
-  | None -> Alcotest.failf "no table-changing histogram refinement found"
-
-let structural_op sk queries =
-  let syn = Sketch.synopsis sk in
-  let nodes = tree_nodes syn queries in
-  (* "structural" from the plan's point of view: either the dimension
-     shape of a tree node's histograms changes (repatch must bail) or
-     the synopsis itself does (the cache is bypassed entirely) *)
-  let dims_changed a b =
-    List.compare_lengths a b <> 0
-    || List.exists2 (fun (da, _) (db, _) -> da <> db) a b
-  in
-  let changes n =
-    let expand =
-      List.find_map
-        (fun (s, d) ->
-          let kind = if s = n then Sketch.Forward else Sketch.Backward in
-          let op =
-            Refinement.Edge_expand
-              { node = n; dim = { Sketch.src = s; dst = d; kind }; into = None }
-          in
-          let applied = Refinement.apply sk op in
-          if
-            applied != sk
-            && Sketch.synopsis applied == syn
-            && dims_changed (Sketch.hists sk n) (Sketch.hists applied n)
-          then Some applied
-          else None)
-        (Sketch.dim_edges_of_node sk n)
-    in
-    match expand with
-    | Some _ -> expand
-    | None ->
-        let applied =
-          Refinement.apply sk (Refinement.Value_split { node = n; ways = 2 })
-        in
-        if applied != sk && Sketch.synopsis applied != syn then Some applied
-        else None
-  in
-  match List.find_map changes nodes with
-  | Some r -> r
-  | None -> Alcotest.failf "no effective structure-changing op"
-
-(* 3. Refining a histogram invalidates cached plans; the repaired
-   (repatched or recompiled) plans are bit-equal to the reference on
-   the refined sketch. *)
-let test_plan_cache_invalidation () =
-  let _, doc = List.hd (Lazy.force docs) in
-  (* start from the coarsest sketch: its histograms are lossy, so a
-     refinement genuinely changes bucket tables *)
-  let sk = Sketch.default_of_doc doc in
-  let queries = queries_of doc in
-  let cache = Embed.create_cache (Sketch.synopsis sk) in
-  let plans = Plan.create_cache (Sketch.synopsis sk) in
-  (* warm the cache against [sk] *)
-  List.iter (fun q -> ignore (Est.estimate ~cache ~plans sk q)) queries;
-  let refined_sk = hist_only_op sk queries in
-  Counters.reset_all ();
+  let eng = open_session sk in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
   List.iteri
     (fun i q ->
+      let expected = Est.estimate sk q in
+      let cold = session_estimate eng q in
+      let c0 = Counters.get "plan.compiles" in
+      let h0 = Counters.get "plan.cache_hits" in
+      let warm = session_estimate eng q in
       Alcotest.(check (float 0.0))
-        (Printf.sprintf "after Edge_refine: q%d" i)
-        (Est.estimate_reference refined_sk q)
-        (Est.estimate ~cache ~plans refined_sk q))
-    queries;
-  Alcotest.(check bool)
-    "invalidations recorded" true
-    (Counters.get "plan.cache_invalidations" > 0);
-  Alcotest.(check bool)
-    "histogram-only invalidation repatches instead of recompiling" true
-    (Counters.get "plan.repatches" > 0);
-  (* the payload-only op must never reach the structure phase: every
-     stale entry is cause=payload, none structure, zero compiles *)
-  Alcotest.(check bool)
-    "payload cause recorded" true
-    (Counters.get "plan.invalidation{cause=payload}" > 0);
-  Alcotest.(check int)
-    "no structure-cause invalidations" 0
-    (Counters.get "plan.invalidation{cause=structure}");
-  Alcotest.(check int)
-    "payload-only refinement compiles nothing" 0
-    (Counters.get "plan.compiles");
-  (* re-enumerating the same queries (a fresh embedding cache) replaces
-     entries without any sketch drift: an eviction, not an
-     invalidation — and the structurally-identical enumeration is
-     repatched, not recompiled *)
-  let cache2 = Embed.create_cache (Sketch.synopsis refined_sk) in
-  Counters.reset_all ();
-  List.iteri
-    (fun i q ->
+        (Printf.sprintf "cold estimate: q%d" i)
+        expected cold.Engine.estimate;
       Alcotest.(check (float 0.0))
-        (Printf.sprintf "re-enumerated: q%d" i)
-        (Est.estimate_reference refined_sk q)
-        (Est.estimate ~cache:cache2 ~plans refined_sk q))
-    queries;
-  Alcotest.(check bool)
-    "evictions recorded" true
-    (Counters.get "plan.invalidation{cause=evict}" > 0);
-  Alcotest.(check int)
-    "evictions are not invalidations" 0
-    (Counters.get "plan.cache_invalidations");
-  Alcotest.(check int)
-    "re-enumeration repatches under the structural remap" 0
-    (Counters.get "plan.compiles");
-  (* a structure-changing op must fall back to the full compiler and
-     still agree with the reference *)
-  let structural = structural_op sk queries in
-  Counters.reset_all ();
-  List.iteri
-    (fun i q ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "after structural op: q%d" i)
-        (Est.estimate_reference structural q)
-        (* [cache2] holds the enumeration the plan entries now carry,
-           so a same-synopsis structural op exercises the genuine
-           invalidation path rather than an eviction *)
-        (Est.estimate ~cache:cache2 ~plans structural q))
-    queries;
-  Alcotest.(check bool)
-    "structural change recompiles" true
-    (Counters.get "plan.compiles" > 0);
-  if Sketch.synopsis structural == Sketch.synopsis sk then
-    (* the plan cache was consulted (same synopsis): the recompiles
-       must have been accounted as structure-cause invalidations *)
-    Alcotest.(check bool)
-      "structure cause recorded" true
-      (Counters.get "plan.invalidation{cause=structure}" > 0)
+        (Printf.sprintf "warm estimate: q%d" i)
+        cold.Engine.estimate warm.Engine.estimate;
+      Alcotest.(check int)
+        (Printf.sprintf "second sighting compiles nothing: q%d" i)
+        0
+        (Counters.get "plan.compiles" - c0);
+      Alcotest.(check int)
+        (Printf.sprintf "second sighting hits the cache: q%d" i)
+        1
+        (Counters.get "plan.cache_hits" - h0))
+    (queries_of doc)
 
-(* 4. The interpreter is a zero-allocation kernel: once the per-domain
+(* 3. The interpreter is a zero-allocation kernel: once the per-domain
    arena has grown to the largest plan, a [run_batch] over every plan
    of every query allocates zero minor words — no closures, no float
    boxing, no scratch arrays. ([Gc.minor_words] itself is [@@noalloc]
@@ -288,7 +140,7 @@ let test_run_batch_zero_alloc () =
   Alcotest.(check (float 0.0))
     "steady-state run_batch allocates zero minor words" 0.0
     (words.(1) -. words.(0));
-  (* and the batch results are the reference estimates *)
+  (* and the batch results are the evaluator's estimates *)
   let off = ref 0 in
   List.iteri
     (fun i q ->
@@ -299,68 +151,63 @@ let test_run_batch_zero_alloc () =
       done;
       off := !off + n;
       Alcotest.(check (float 0.0))
-        (Printf.sprintf "batch sum equals reference: q%d" i)
-        (Est.estimate_reference sk q)
-        !sum)
+        (Printf.sprintf "batch sum equals evaluator: q%d" i)
+        (Est.estimate sk q) !sum)
     queries
 
-(* 5. Differential under injected faults: when plan/embedding cache
-   fills fail intermittently and the caller retries, every eventually
-   successful estimate — including those served by plans repatched
-   after a histogram refinement — is still bit-equal to the reference
-   evaluator, and the cache never serves a value computed from a
-   half-filled entry. *)
+(* 4. Differential under injected faults, through engine sessions:
+   when plan and embedding fills fail intermittently, the session
+   retries them, and every answer is still bit-equal to the
+   evaluator — a failed fill never leaves a half-filled entry behind,
+   so once injection stops every query is a cache hit with the same
+   answer. A second session over a refined sketch compiles its own
+   plans under the same storm and converges to that sketch's
+   estimates. *)
 let test_plan_fill_faults_retry_differential () =
   Fun.protect ~finally:Fault.disable @@ fun () ->
   let _, doc = List.hd (Lazy.force docs) in
-  let sk = Sketch.default_of_doc doc in
   let queries = queries_of doc in
-  let expected = List.map (Est.estimate_reference sk) queries in
-  let cache = Embed.create_cache (Sketch.synopsis sk) in
-  let plans = Plan.create_cache (Sketch.synopsis sk) in
-  let rec with_retry k f =
-    match f () with
-    | v -> v
-    | exception Fault.Injected _ when k > 0 -> with_retry (k - 1) f
+  let install spec =
+    match Fault.parse_spec spec with
+    | Error e -> Alcotest.fail ("bad spec: " ^ e)
+    | Ok sp -> Fault.install sp
   in
-  (match Fault.parse_spec "seed=11;plan.fill:p0.5;embed.fill:p0.3" with
-  | Error e -> Alcotest.fail ("bad spec: " ^ e)
-  | Ok sp -> Fault.install sp);
-  List.iteri
-    (fun i q ->
-      let got = with_retry 100 (fun () -> Est.estimate ~cache ~plans sk q) in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "retried fill: q%d" i)
-        (List.nth expected i) got)
-    queries;
-  Alcotest.(check bool) "the scenario actually fired" true
-    (Fault.injected_count () > 0);
-  (* warm entries survived the storm: with injection off, the cache
-     serves every query, still bit-equal *)
-  Fault.disable ();
-  List.iteri
-    (fun i q ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "post-storm cache: q%d" i)
-        (List.nth expected i)
-        (Est.estimate ~cache ~plans sk q))
-    queries;
-  (* a histogram refinement now forces the repatch path; faulting its
-     fills and retrying must converge to the refined reference *)
-  let refined_sk = hist_only_op sk queries in
-  (match Fault.parse_spec "seed=12;plan.fill:p0.5" with
-  | Error e -> Alcotest.fail ("bad spec: " ^ e)
-  | Ok sp -> Fault.install sp);
-  List.iteri
-    (fun i q ->
-      let got =
-        with_retry 100 (fun () -> Est.estimate ~cache ~plans refined_sk q)
-      in
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "repatch under faults: q%d" i)
-        (Est.estimate_reference refined_sk q)
-        got)
-    queries
+  let storm ~label sk spec =
+    let eng = open_session sk in
+    Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+    install spec;
+    let expected = List.map (Est.estimate sk) queries in
+    List.iteri
+      (fun i q ->
+        let a = session_estimate eng q in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: q%d answered, not degraded" label i)
+          false a.Engine.fallback;
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s: retried fill q%d" label i)
+          (List.nth expected i) a.Engine.estimate)
+      queries;
+    Alcotest.(check bool)
+      (label ^ ": the scenario actually fired")
+      true
+      (Fault.injected_count () > 0);
+    Fault.disable ();
+    let c0 = Counters.get "plan.compiles" in
+    List.iteri
+      (fun i q ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s: post-storm cache q%d" label i)
+          (List.nth expected i)
+          (session_estimate eng q).Engine.estimate)
+      queries;
+    Alcotest.(check int)
+      (label ^ ": every warm entry survived the storm")
+      0
+      (Counters.get "plan.compiles" - c0)
+  in
+  storm ~label:"coarsest" (Sketch.default_of_doc doc)
+    "seed=11;plan.fill:p0.5;embed.fill:p0.3";
+  storm ~label:"refined" (refined doc ~budget_mult:4) "seed=12;plan.fill:p0.5"
 
 let () =
   Alcotest.run "plan"
@@ -372,8 +219,6 @@ let () =
             test_compiled_equals_reference;
           Alcotest.test_case "plan cache hits, values unchanged" `Quick
             test_plan_cache_hits;
-          Alcotest.test_case "invalidation: repatch + recompile correct" `Quick
-            test_plan_cache_invalidation;
           Alcotest.test_case "run_batch allocates zero minor words" `Quick
             test_run_batch_zero_alloc;
           Alcotest.test_case "fill faults + retry: differential vs reference"

@@ -1,10 +1,13 @@
 module G = Xtwig_synopsis.Graph_synopsis
 module Sketch = Xtwig_sketch.Sketch
+module Embed = Xtwig_sketch.Embed
 module Est = Xtwig_sketch.Estimator
+module Plan = Xtwig_sketch.Plan
 module Xbuild = Xtwig_sketch.Xbuild
 module Wgen = Xtwig_workload.Wgen
 module EM = Xtwig_workload.Error_metric
 module Prng = Xtwig_util.Prng
+module Counters = Xtwig_util.Counters
 
 let doc = Xtwig_datagen.Imdb.generate ~scale:0.05 ()
 
@@ -94,6 +97,27 @@ let test_workload_error_helper () =
   Alcotest.(check (float 1e-9)) "empty workload" 0.0
     (Xbuild.workload_error coarse ~truth [])
 
+(* Only engine sessions compile plans: XBUILD scores each candidate once
+   per query through the recursive evaluator, so a build moves neither
+   plan counter. The compile afterwards is the control showing the
+   counters are live in this process. *)
+let test_build_compiles_no_plans () =
+  let compiles () = Counters.get "plan.compiles" in
+  let runs () = Counters.get "plan.runs" in
+  let c0 = compiles () and r0 = runs () in
+  let sk = build ~budget:2500 ~max_steps:10 () in
+  Alcotest.(check int) "plan.compiles over Xbuild.build" 0 (compiles () - c0);
+  Alcotest.(check int) "plan.runs over Xbuild.build" 0 (runs () - r0);
+  let plans =
+    Array.concat
+      (List.map
+         (fun q -> Plan.compile_roots sk (Embed.embeddings (Sketch.synopsis sk) q))
+         eval_queries)
+  in
+  Alcotest.(check bool) "control: some plans compiled" true (Array.length plans > 0);
+  Alcotest.(check int) "control: the compile counter is live" (Array.length plans)
+    (compiles () - c0)
+
 let () =
   Alcotest.run "xbuild"
     [
@@ -105,5 +129,7 @@ let () =
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "max steps" `Slow test_max_steps;
           Alcotest.test_case "workload_error helper" `Quick test_workload_error_helper;
+          Alcotest.test_case "build compiles no plans" `Slow
+            test_build_compiles_no_plans;
         ] );
     ]

@@ -30,6 +30,23 @@ let test_value_roundtrip () =
         (Value.equal v (Value.of_string (Value.to_string v))))
     [ Value.Null; Value.Int 42; Value.Int (-7); Value.Float 2.5; Value.Text "abc" ]
 
+(* OCaml's float grammar reads these words as non-finite floats; as
+   element text they must stay text, through both classifiers *)
+let test_value_non_finite_text () =
+  List.iter
+    (fun s ->
+      let expect = Value.Text s in
+      Alcotest.(check bool)
+        (Printf.sprintf "of_string %S is Text" s)
+        true
+        (Value.equal expect (Value.of_string s));
+      Alcotest.(check bool)
+        (Printf.sprintf "of_slice %S is Text" s)
+        true
+        (let b = Bytes.of_string ("<" ^ s ^ ">") in
+         Value.equal expect (Value.of_slice b ~pos:1 ~len:(String.length s))))
+    [ "nan"; "NaN"; "inf"; "-inf"; "+infinity"; "Infinity"; "1e999" ]
+
 let test_value_as_float () =
   Alcotest.(check (option (float 1e-9))) "int" (Some 3.0) (Value.as_float (Int 3));
   Alcotest.(check (option (float 1e-9))) "float" (Some 2.5) (Value.as_float (Float 2.5));
@@ -193,6 +210,8 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick test_value_roundtrip;
           Alcotest.test_case "as_float" `Quick test_value_as_float;
           Alcotest.test_case "compare" `Quick test_value_compare;
+          Alcotest.test_case "non-finite literals stay text" `Quick
+            test_value_non_finite_text;
         ] );
       ( "doc",
         [
