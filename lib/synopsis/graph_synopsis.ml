@@ -17,16 +17,9 @@ type t = {
   extents : int array array;
   out : edge list array;
   inc : edge list array;
-  edge_tbl : (int * int, edge) Hashtbl.t;
-  by_tag : (int, int list) Hashtbl.t; (* tag -> node ids *)
+  n_edges : int;
+  by_tag : int list array; (* tag -> node ids *)
   root_node : int;
-  (* structural index: per element, its children bucketed by synopsis
-     node, in CSR form — [cc_node.(i), cc_count.(i)] for
-     [i in cc_off.(e) .. cc_off.(e+1) - 1], sorted by node id. Rebuilt
-     by [derive], so every [split] maintains it. *)
-  cc_off : int array;
-  cc_node : int array;
-  cc_count : int array;
 }
 
 let derive doc node_of =
@@ -95,103 +88,68 @@ let derive doc node_of =
     extents.(v).(fill.(v)) <- e;
     fill.(v) <- fill.(v) + 1
   done;
-  (* One pass over elements builds both the CSR child-count-by-node
-     index (a sorted run-length encoding of child node ids per
-     element) and the edge aggregates: count(u,v) is the sum of v-runs
-     over u's elements, src_with_child(u,v) the number of u-elements
-     carrying a v-run. Edges are tallied under the int key
-     [u * n_nodes + v] — this loop runs once per split *candidate* in
-     XBUILD, so it avoids tuple boxing and per-element allocations. *)
-  let cc_off = Array.make (n_elems + 1) 0 in
-  let cap = ref (n_elems + (n_elems / 2) + 16) in
-  let cc_node = ref (Array.make !cap 0) in
-  let cc_count = ref (Array.make !cap 0) in
-  let cc_len = ref 0 in
-  let push v c =
-    if !cc_len = !cap then begin
-      let ncap = 2 * !cap in
-      let nn = Array.make ncap 0 and nc = Array.make ncap 0 in
-      Array.blit !cc_node 0 nn 0 !cc_len;
-      Array.blit !cc_count 0 nc 0 !cc_len;
-      cc_node := nn;
-      cc_count := nc;
-      cap := ncap
-    end;
-    !cc_node.(!cc_len) <- v;
-    !cc_count.(!cc_len) <- c;
-    incr cc_len
-  in
-  (* scratch multiplicity per node for the current element *)
-  let scratch = Array.make n_nodes 0 in
+  (* Edges are tallied one source node at a time over the children of
+     its extent: count(u,v) is the number of v-children of u-elements,
+     src_with_child(u,v) the number of u-elements with at least one
+     ([stamp] remembers the last element counted for v; element ids
+     are unique, so it never needs resetting). This runs once per
+     split candidate in XBUILD, so it allocates little beyond the
+     edges themselves. Sources go in decreasing id order and
+     destinations in decreasing id order within a source, so the
+     consed lists come out sorted. *)
+  let cnt = Array.make n_nodes 0 in
+  let swc = Array.make n_nodes 0 in
+  let stamp = Array.make n_nodes (-1) in
   let touched = Array.make n_nodes 0 in
-  let ecounts : (int, int ref * int ref) Hashtbl.t = Hashtbl.create 256 in
-  for el = 0 to n_elems - 1 do
-    let kids = Doc.children doc el in
-    let nk = Array.length kids in
-    let nt = ref 0 in
-    for i = 0 to nk - 1 do
-      let id = dense.(kids.(i)) in
-      if scratch.(id) = 0 then begin
-        touched.(!nt) <- id;
-        Stdlib.incr nt
-      end;
-      scratch.(id) <- scratch.(id) + 1
-    done;
-    let tn = !nt in
-    (* insertion sort: elements have few distinct child nodes *)
-    for i = 1 to tn - 1 do
-      let x = touched.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && touched.(!j) > x do
-        touched.(!j + 1) <- touched.(!j);
-        decr j
-      done;
-      touched.(!j + 1) <- x
-    done;
-    let u = dense.(el) in
-    for i = 0 to tn - 1 do
-      let v = touched.(i) in
-      let c = scratch.(v) in
-      scratch.(v) <- 0;
-      push v c;
-      let key = (u * n_nodes) + v in
-      match Hashtbl.find_opt ecounts key with
-      | Some (cnt, swc) ->
-          cnt := !cnt + c;
-          swc := !swc + 1
-      | None -> Hashtbl.add ecounts key (ref c, ref 1)
-    done;
-    cc_off.(el + 1) <- cc_off.(el) + tn
-  done;
-  let cc_node = Array.sub !cc_node 0 (Stdlib.max 1 !cc_len) in
-  let cc_count = Array.sub !cc_count 0 (Stdlib.max 1 !cc_len) in
-  (* count(u,v) = number of v-elements whose parent is in u (each
-     element has exactly one parent); b_stable(u,v) <=> count = |v|,
-     f_stable(u,v) <=> src_with_child = |u| *)
-  let edge_tbl = Hashtbl.create 256 in
   let out = Array.make n_nodes [] in
   let inc = Array.make n_nodes [] in
-  Hashtbl.iter
-    (fun key (cnt, swc) ->
-      let u = key / n_nodes and v = key mod n_nodes in
-      let b_stable = !cnt = sizes.(v) in
-      let f_stable = !swc = sizes.(u) in
+  let n_edges = ref 0 in
+  for u = n_nodes - 1 downto 0 do
+    let nt = ref 0 in
+    Array.iter
+      (fun el ->
+        let kids = Doc.children doc el in
+        for i = 0 to Array.length kids - 1 do
+          let v = dense.(kids.(i)) in
+          if cnt.(v) = 0 then begin
+            touched.(!nt) <- v;
+            Stdlib.incr nt
+          end;
+          cnt.(v) <- cnt.(v) + 1;
+          if stamp.(v) <> el then begin
+            stamp.(v) <- el;
+            swc.(v) <- swc.(v) + 1
+          end
+        done)
+      extents.(u);
+    let dsts = Array.sub touched 0 !nt in
+    Array.sort Int.compare dsts;
+    n_edges := !n_edges + !nt;
+    (* count(u,v) = number of v-elements whose parent is in u (each
+       element has exactly one parent); b_stable(u,v) <=> count = |v|,
+       f_stable(u,v) <=> src_with_child = |u| *)
+    for j = !nt - 1 downto 0 do
+      let v = dsts.(j) in
       let e =
-        { src = u; dst = v; count = !cnt; src_with_child = !swc; b_stable; f_stable }
+        {
+          src = u;
+          dst = v;
+          count = cnt.(v);
+          src_with_child = swc.(v);
+          b_stable = cnt.(v) = sizes.(v);
+          f_stable = swc.(v) = sizes.(u);
+        }
       in
-      Hashtbl.add edge_tbl (u, v) e;
+      cnt.(v) <- 0;
+      swc.(v) <- 0;
       out.(u) <- e :: out.(u);
-      inc.(v) <- e :: inc.(v))
-    ecounts;
-  for v = 0 to n_nodes - 1 do
-    out.(v) <- List.sort (fun a b -> compare a.dst b.dst) out.(v);
-    inc.(v) <- List.sort (fun a b -> compare a.src b.src) inc.(v)
+      inc.(v) <- e :: inc.(v)
+    done
   done;
-  let by_tag = Hashtbl.create 64 in
+  let by_tag = Array.make (Doc.tag_count doc) [] in
   for v = n_nodes - 1 downto 0 do
     let t = node_tag.(v) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt by_tag t) in
-    Hashtbl.replace by_tag t (v :: prev)
+    by_tag.(t) <- v :: by_tag.(t)
   done;
   {
     doc;
@@ -201,12 +159,9 @@ let derive doc node_of =
     extents;
     out;
     inc;
-    edge_tbl;
+    n_edges = !n_edges;
     by_tag;
     root_node = dense.(Doc.root doc);
-    cc_off;
-    cc_node;
-    cc_count;
   }
 
 let of_partition doc node_of = derive doc node_of
@@ -218,7 +173,7 @@ let perfect doc = of_partition doc (Array.init (Doc.size doc) Fun.id)
 
 let doc t = t.doc
 let node_count t = t.n_nodes
-let edge_count t = Hashtbl.length t.edge_tbl
+let edge_count t = t.n_edges
 let extent t v = t.extents.(v)
 let extent_size t v = Array.length t.extents.(v)
 let node_tag t v = t.node_tag.(v)
@@ -226,7 +181,7 @@ let tag_name t v = Doc.tag_to_string t.doc t.node_tag.(v)
 let node_of_elem t e = t.node_of.(e)
 
 let nodes_with_tag t tag =
-  Option.value ~default:[] (Hashtbl.find_opt t.by_tag tag)
+  if tag >= 0 && tag < Array.length t.by_tag then t.by_tag.(tag) else []
 
 let nodes_with_label t label =
   match Doc.tag_of_string t.doc label with
@@ -234,28 +189,24 @@ let nodes_with_label t label =
   | Some tag -> nodes_with_tag t tag
 
 let child_count t e z =
-  let lo = ref t.cc_off.(e) and hi = ref t.cc_off.(e + 1) in
-  let found = ref 0 in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.cc_node.(mid) in
-    if v = z then begin
-      found := t.cc_count.(mid);
-      lo := !hi
-    end
-    else if v < z then lo := mid + 1
-    else hi := mid
+  let kids = Doc.children t.doc e in
+  let n = ref 0 in
+  for i = 0 to Array.length kids - 1 do
+    if t.node_of.(kids.(i)) = z then Stdlib.incr n
   done;
-  !found
+  !n
 
-let child_nodes_of_elem t e =
-  let lo = t.cc_off.(e) and hi = t.cc_off.(e + 1) in
-  List.init (hi - lo) (fun i -> (t.cc_node.(lo + i), t.cc_count.(lo + i)))
+let edge t ~src ~dst =
+  let rec find = function
+    | [] -> None
+    | e :: rest ->
+        if e.dst < dst then find rest else if e.dst = dst then Some e else None
+  in
+  find t.out.(src)
 
-let edge t ~src ~dst = Hashtbl.find_opt t.edge_tbl (src, dst)
 let out_edges t v = t.out.(v)
 let in_edges t v = t.inc.(v)
-let edges t = Hashtbl.fold (fun _ e acc -> e :: acc) t.edge_tbl []
+let edges t = List.concat (Array.to_list t.out)
 let root_node t = t.root_node
 
 let split t ~node ~group_of =
@@ -270,8 +221,10 @@ let split t ~node ~group_of =
   if Hashtbl.length groups <= 1 then t
   else begin
     let node_of = Array.copy t.node_of in
-    (* keep ids of untouched nodes stable: reuse [node]'s id for the
-       first group, allocate fresh ids beyond n_nodes for the rest *)
+    (* the first group keeps [node]'s id and the others take fresh ids
+       beyond n_nodes; [derive] then renumbers every node by first
+       appearance, so no id is stable across a split (a sketch maps
+       its nodes through their extents, see [Sketch.node_map_of]) *)
     let fresh = ref t.n_nodes in
     let assign = Hashtbl.create 8 in
     Array.iter

@@ -72,20 +72,20 @@ val nodes_with_label : t -> string -> int list
 val child_count : t -> int -> int -> int
 (** [child_count t e z]: number of children of document element [e]
     lying in synopsis node [z] — the forward-count primitive of edge
-    distributions, answered in [O(log deg)] from a per-document
-    structural index (element children bucketed by synopsis node)
-    that every {!split} maintains. *)
-
-val child_nodes_of_elem : t -> int -> (int * int) list
-(** [(node, count)] pairs for the children of one element, sorted by
-    node id. *)
+    distributions, a scan of [e]'s children in [O(deg e)]. *)
 
 val edge : t -> src:int -> dst:int -> edge option
+(** A scan of [src]'s out-edges. *)
+
 val out_edges : t -> int -> edge list
 (** Edges leaving a node, ordered by destination id. *)
 
 val in_edges : t -> int -> edge list
+(** Edges entering a node, ordered by source id. *)
+
 val edges : t -> edge list
+(** Every edge, ordered by [(src, dst)]. *)
+
 val root_node : t -> int
 (** The node whose extent holds the document root. *)
 

@@ -299,9 +299,25 @@ let gen_one prng spec doc domains ~opt_frac ~focus_elems =
     if add_value_preds prng spec doc domains root then Some (freeze root) else None
   else Some (freeze root)
 
+(* The per-document tables, built once per document: XBUILD calls
+   [generate] once per step on one document, and building the tables
+   took most of each call. One slot holds the last document's tables
+   in an ephemeron keyed on the document's identity, so a dropped
+   document frees them. The tables are read-only once built and draw
+   nothing from the PRNG; two domains racing on the slot only build
+   them twice. *)
+let tables_slot = Atomic.make None
+
+let tables doc =
+  match Option.bind (Atomic.get tables_slot) (fun e -> Ephemeron.K1.query e doc) with
+  | Some t -> t
+  | None ->
+      let t = (numeric_domains doc, optionality doc) in
+      Atomic.set tables_slot (Some (Ephemeron.K1.make doc t));
+      t
+
 let generate ?(focus = []) spec prng doc =
-  let domains = numeric_domains doc in
-  let opt_frac = optionality doc in
+  let domains, opt_frac = tables doc in
   let focus_elems =
     match focus with
     | [] -> None

@@ -47,7 +47,14 @@ val generate :
   Xtwig_path.Path_types.twig list
 (** Non-zero-selectivity queries. [focus] biases witness sampling
     toward elements whose tag is listed (used by XBUILD's
-    region-focused scoring workloads). *)
+    region-focused scoring workloads).
+
+    The per-document tables the generator consults (numeric value
+    domains, child-tag optionality) are built on the first call for a
+    document and kept for the calls that follow on the same
+    (physically equal) document; they draw nothing from [prng], so
+    the queries do not depend on whether the tables were cached. Safe
+    to call from several domains at once. *)
 
 val generate_negative :
   spec -> Xtwig_util.Prng.t -> Xtwig_xml.Doc.t -> Xtwig_path.Path_types.twig list

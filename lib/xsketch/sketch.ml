@@ -43,36 +43,40 @@ let c_vals_reused = Counters.counter "sketch.value_summaries_reused"
 (* ------------------------------------------------------------------ *)
 (* Distribution computation                                            *)
 
-(* Count of [e]'s children lying in synopsis node [z] — answered by
-   the synopsis' structural index. *)
-let forward_count syn e z = G.child_count syn e z
-
-(* The (unique, B-stable-chain) ancestor of [e] in node [a], if any. *)
+(* The (unique, B-stable-chain) ancestor of [e] in node [a], or -1. *)
 let ancestor_in syn e a =
   let doc = G.doc syn in
   let rec up e =
-    if G.node_of_elem syn e = a then Some e
-    else match Doc.parent doc e with None -> None | Some p -> up p
+    if G.node_of_elem syn e = a then e
+    else match Doc.parent doc e with None -> -1 | Some p -> up p
   in
   up e
 
-let count_for_dim syn n e d =
-  match d.kind with
-  | Forward -> forward_count syn e d.dst
-  | Backward -> (
-      ignore n;
-      match ancestor_in syn e d.src with
-      | Some anc -> forward_count syn anc d.dst
-      | None -> 0)
-
+(* A forward dimension counts [e]'s children in [d.dst]; a backward one
+   counts the children of [e]'s ancestor in [d.src]. Consecutive extent
+   elements mostly share that ancestor, so its count is kept until the
+   ancestor changes. *)
 let distribution_of syn n dims =
   Counters.incr c_dists;
   let k = Array.length dims in
+  let last_anc = Array.make k (-1) and last_count = Array.make k 0 in
+  let count e i =
+    let d = dims.(i) in
+    match d.kind with
+    | Forward -> G.child_count syn e d.dst
+    | Backward ->
+        let anc = ancestor_in syn e d.src in
+        if anc < 0 then 0
+        else begin
+          if anc <> last_anc.(i) then begin
+            last_anc.(i) <- anc;
+            last_count.(i) <- G.child_count syn anc d.dst
+          end;
+          last_count.(i)
+        end
+  in
   let vectors =
-    Array.to_list
-      (Array.map
-         (fun e -> Array.init k (fun i -> count_for_dim syn n e dims.(i)))
-         (G.extent syn n))
+    Array.to_list (Array.map (fun e -> Array.init k (count e)) (G.extent syn n))
   in
   Sparse_dist.of_vectors ~dims:k vectors
 

@@ -58,27 +58,34 @@ let sanity_floor truths =
     Stats.percentile positive 10.0
   end
 
-(* Average absolute relative error against precomputed truths. *)
-let error_against ~truths ~sanity ?cache sketch queries =
-  let i = ref (-1) in
-  let errs =
-    List.map
-      (fun q ->
-        Stdlib.incr i;
-        let est = Estimator.estimate ?cache sketch q in
-        let c = truths.(!i) in
-        Float.abs (est -. c) /. Stdlib.max sanity c)
-      queries
-  in
-  Stats.mean_list errs
+(* Average absolute relative error of one estimate per query. *)
+let error_of ~truths ~sanity ests =
+  Stats.mean
+    (Array.mapi
+       (fun i est -> Float.abs (est -. truths.(i)) /. Stdlib.max sanity truths.(i))
+       ests)
 
 let workload_error sketch ~truth queries =
   match queries with
   | [] -> 0.0
   | _ ->
       let truths = Array.of_list (List.map truth queries) in
-      let sanity = sanity_floor truths in
-      error_against ~truths ~sanity sketch queries
+      error_of ~truths ~sanity:(sanity_floor truths)
+        (Array.of_list (List.map (Estimator.estimate sketch) queries))
+
+(* A scored candidate. [ests] holds its estimate of every scoring
+   query (the base estimate where it was provably unchanged);
+   [cand_cache] is its own embedding cache, forced only for a
+   structural candidate that estimated some query. *)
+type scored = {
+  gain : float;
+  op : Refinement.op;
+  refined : Sketch.t;
+  size : int;
+  err : float;
+  ests : float array;
+  cand_cache : Embed.cache Lazy.t;
+}
 
 let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1)
     ?(vbudget0 = 2) ?on_step ~workload ~truth ~budget doc =
@@ -89,10 +96,14 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
      steps; per-step queries focused on the touched regions are added
      on top (the paper's region-local sampling) *)
   let anchor = workload prng ~focus:[] in
-  (* embedding cache, recreated whenever a structural step replaces
-     the synopsis; within one step every non-split candidate shares
-     the enumeration warmed by the base-error pass *)
+  (* embedding cache of the current synopsis; within one step every
+     non-split candidate shares the enumeration warmed by the
+     base-error pass. A structural step adopts the applied candidate's
+     own cache, or starts a fresh one. *)
   let ecache = ref (Embed.create_cache (Sketch.synopsis !sketch)) in
+  (* the anchor queries' estimates on the current sketch, kept by the
+     scoring of the candidate that produced it (none at the start) *)
+  let carried = ref [||] in
   let step = ref 0 in
   let continue = ref true in
   while !continue && Sketch.size_bytes !sketch < budget && !step < max_steps do
@@ -126,7 +137,7 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
       in
       let qarr = Array.of_list queries in
       let nq = Array.length qarr in
-      let base_terms = Array.make nq 0.0 in
+      let base_ests = Array.make nq 0.0 in
       let visited = Array.make nq [] in
       let trunc = Array.make nq false in
       let syn0 = Sketch.synopsis !sketch in
@@ -134,18 +145,20 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
       (* the base-error pass warms [cache] with this step's queries
          (main domain) and records, per query, the synopsis nodes its
          embeddings touch: a candidate that changes none of them has a
-         provably identical estimate, which is reused below *)
+         provably identical estimate, which is reused below. The anchor
+         queries were already estimated on this sketch when it was
+         scored as a candidate; those estimates are carried over. *)
       Trace.with_span ~name:"xbuild.base_pass" (fun () ->
           for i = 0 to nq - 1 do
             let embs = Embed.embeddings_cached cache syn0 qarr.(i) in
             trunc.(i) <- Embed.last_truncated ();
             visited.(i) <- Embed.visited_nodes embs;
-            let est = Estimator.estimate ~cache !sketch qarr.(i) in
-            let c = truths.(i) in
-            base_terms.(i) <- Float.abs (est -. c) /. Stdlib.max sanity c
+            base_ests.(i) <-
+              (if i < Array.length !carried then !carried.(i)
+               else Estimator.estimate ~cache !sketch qarr.(i))
           done);
       Embed.freeze cache;
-      let base_error = Stats.mean base_terms in
+      let base_error = error_of ~truths ~sanity base_ests in
       let base_size = Sketch.size_bytes !sketch in
       let score op =
         Trace.with_span ~name:"xbuild.score"
@@ -165,33 +178,28 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
           let cand_cache =
             lazy (Embed.create_cache (Sketch.synopsis refined))
           in
-          let err =
-            let terms = Array.make nq 0.0 in
-            for i = 0 to nq - 1 do
-              let skip =
-                (same_syn || not trunc.(i))
-                &&
-                match changed with
-                | Some ch ->
-                    not (List.exists (fun v -> List.mem v ch) visited.(i))
-                | None -> false
-              in
-              if skip then begin
-                Counters.incr c_est_skipped;
-                terms.(i) <- base_terms.(i)
-              end
-              else begin
-                Counters.incr c_est_computed;
-                let cache = if same_syn then cache else Lazy.force cand_cache in
-                let est = Estimator.estimate ~cache refined qarr.(i) in
-                let c = truths.(i) in
-                terms.(i) <- Float.abs (est -. c) /. Stdlib.max sanity c
-              end
-            done;
-            Stats.mean terms
+          let ests =
+            Array.init nq (fun i ->
+                let skip =
+                  (same_syn || not trunc.(i))
+                  &&
+                  match changed with
+                  | Some ch -> not (List.exists (fun v -> List.mem v ch) visited.(i))
+                  | None -> false
+                in
+                if skip then begin
+                  Counters.incr c_est_skipped;
+                  base_ests.(i)
+                end
+                else begin
+                  Counters.incr c_est_computed;
+                  let cache = if same_syn then cache else Lazy.force cand_cache in
+                  Estimator.estimate ~cache refined qarr.(i)
+                end)
           in
+          let err = error_of ~truths ~sanity ests in
           let gain = (base_error -. err) /. float_of_int (size - base_size) in
-          Some (gain, op, refined, size, err)
+          Some { gain; op; refined; size; err; ests; cand_cache }
       in
       (* Candidates are independent: score them on the domain pool when
          one is given. Each candidate keeps its index in the sampled
@@ -212,15 +220,18 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
           match (r, !best) with
           | None, _ -> ()
           | Some _, None -> best := r
-          | Some (g, _, _, _, _), Some (g0, _, _, _, _) ->
-              if g > g0 then best := r)
+          | Some c, Some c0 -> if c.gain > c0.gain then best := r)
         scored;
       (match !best with
       | None -> continue := false
-      | Some (_, op, refined, size, err) ->
+      | Some { op; refined; size; err; ests; cand_cache; _ } ->
           let description = Refinement.describe !sketch op in
           count_applied op;
           sketch := refined;
+          carried := Array.sub ests 0 (List.length anchor);
+          (* the pool has joined: the candidate's cache passes to this
+             domain, and the next base pass finds its enumerations *)
+          if Lazy.is_val cand_cache then ecache := Lazy.force cand_cache;
           (match on_step with
           | None -> ()
           | Some f ->

@@ -60,7 +60,13 @@ val build :
     ({!Estimator.estimate}): each candidate sketch is scored once per
     workload query, so a compiled plan would almost never run twice.
     A build compiles no plans ([plan.compiles] and [plan.runs] do not
-    move). *)
+    move).
+
+    Each step's base pass estimates the scoring workload on the current
+    sketch. The fixed anchor queries were already estimated on that
+    sketch when it was scored as the previous step's candidate, and
+    those estimates are reused bit for bit; after a structural step the
+    applied candidate's embedding cache also becomes the step's cache. *)
 
 val workload_error :
   Sketch.t -> truth:(Xtwig_path.Path_types.twig -> float) ->

@@ -95,6 +95,74 @@ let test_characteristics () =
   (* internal fanout sits in the paper's 1.5-2 territory *)
   Alcotest.(check bool) "fanout plausible" true (avg_fanout >= 1.0 && avg_fanout <= 4.0)
 
+(* ---------------- per-document tables ---------------- *)
+
+let other = Xtwig_datagen.Xmark.generate ~scale:0.01 ()
+
+(* P+V with focus: the draws consult both per-document tables (child
+   optionality for branches, numeric domains for value predicates) *)
+let draw d =
+  List.map Xtwig_path.Path_printer.twig_to_string
+    (Wgen.generate ~focus:[ "movie"; "person"; "item" ]
+       { Wgen.paper_pv with n_queries = 30 }
+       (Prng.create 17) d)
+
+(* md5 of [draw] on each document, recorded from a generator that
+   rebuilt the tables on every call *)
+let recorded =
+  let path = Filename.concat "fixtures" "wgen_draws.md5" in
+  let path = if Sys.file_exists path then path else Filename.concat "test" path in
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+  |> List.map (fun l -> Scanf.sscanf l "%s %s" (fun name md5 -> (name, md5)))
+
+let check_draw name qs =
+  Alcotest.(check string) name (List.assoc name recorded)
+    (Digest.to_hex (Digest.string (String.concat "\n" qs)))
+
+(* the same elements in the same id order, in a new document *)
+let copy_of d =
+  let b = Doc.Builder.create () in
+  let ids = Array.make (Doc.size d) (-1) in
+  for e = 0 to Doc.size d - 1 do
+    let value = Doc.value d e and tag = Doc.tag_name d e in
+    ids.(e) <-
+      (match Doc.parent d e with
+      | None -> Doc.Builder.root b ~value tag
+      | Some p -> Doc.Builder.child b ids.(p) ~value tag)
+  done;
+  Doc.Builder.finish b
+
+let test_tables_cold_warm () =
+  ignore (draw other);
+  check_draw "imdb" (draw doc);
+  check_draw "imdb" (draw doc)
+
+let test_tables_alternating () =
+  for _ = 1 to 3 do
+    check_draw "imdb" (draw doc);
+    check_draw "xmark" (draw other)
+  done
+
+let test_tables_copy () =
+  ignore (draw doc);
+  check_draw "imdb" (draw (copy_of doc));
+  check_draw "imdb" (draw doc)
+
+let test_tables_two_domains () =
+  ignore (draw other);
+  let worker () = List.init 3 (fun _ -> (draw doc, draw other)) in
+  let ds = List.init 2 (fun _ -> Domain.spawn worker) in
+  List.iter
+    (fun dom ->
+      List.iter
+        (fun (d, o) ->
+          check_draw "imdb" d;
+          check_draw "xmark" o)
+        (Domain.join dom))
+    ds
+
 (* ---------------- error metric ---------------- *)
 
 let checkf = Alcotest.(check (float 1e-9))
@@ -155,6 +223,13 @@ let () =
           Alcotest.test_case "focus bias" `Quick test_focus_bias;
           Alcotest.test_case "negative workload" `Quick test_negative_workload;
           Alcotest.test_case "characteristics (Table 2)" `Quick test_characteristics;
+        ] );
+      ( "tables",
+        [
+          Alcotest.test_case "cold and warm" `Quick test_tables_cold_warm;
+          Alcotest.test_case "alternating documents" `Quick test_tables_alternating;
+          Alcotest.test_case "distinct copy" `Quick test_tables_copy;
+          Alcotest.test_case "two domains" `Quick test_tables_two_domains;
         ] );
       ( "error-metric",
         [

@@ -118,6 +118,91 @@ let test_build_compiles_no_plans () =
   Alcotest.(check int) "control: the compile counter is live" (Array.length plans)
     (compiles () - c0)
 
+(* ---------------- golden builds ---------------- *)
+
+module Sketch_io = Xtwig_sketch.Sketch_io
+
+let fixture name =
+  let path = Filename.concat "fixtures" name in
+  if Sys.file_exists path then path else Filename.concat "test" path
+
+(* One build with the benchmark's recipe: seed 7, 8 candidates, a
+   budget of 16x the coarsest sketch, a 14-query P scoring workload and
+   memoized exact truth. Rendered as the md5 of the sketch's Sketch_io
+   bytes, then one line per applied step with its workload error as
+   IEEE bits. The fixtures were recorded from a build that estimated
+   every base-pass query afresh and rebuilt the workload generator's
+   tables on every call.
+
+   With [recompute], each step's reported error is also recomputed
+   from scratch over that step's scoring workload (the anchor queries,
+   then the focused ones): XBUILD keeps the applied candidate's
+   per-query estimates and carries the anchor ones into the next
+   step's base pass, so every kept estimate must equal, bit for bit, a
+   fresh estimate on the sketch it belongs to. *)
+let golden_run ?pool ~recompute doc =
+  let memo = Hashtbl.create 1024 in
+  let truth q =
+    let key = Xtwig_path.Path_printer.twig_to_string q in
+    match Hashtbl.find_opt memo key with
+    | Some v -> v
+    | None ->
+        let v = float_of_int (Xtwig_eval.Eval_twig.selectivity doc q) in
+        Hashtbl.add memo key v;
+        v
+  in
+  let scoring = { Wgen.paper_p with n_queries = 14 } in
+  let anchor = ref None and focused = ref [] in
+  let workload prng ~focus =
+    let qs = Wgen.generate ~focus scoring prng doc in
+    (match !anchor with None -> anchor := Some qs | Some _ -> focused := qs);
+    qs
+  in
+  let budget = 16 * Sketch.size_bytes (Sketch.default_of_doc doc) in
+  let lines = ref [] in
+  let on_step sk (i : Xbuild.step_info) =
+    if recompute then begin
+      let queries = Option.get !anchor @ !focused in
+      let recomputed = Xbuild.workload_error sk ~truth queries in
+      if Int64.bits_of_float recomputed <> Int64.bits_of_float i.workload_error then
+        Alcotest.failf "step %d: reported error %h, recomputed %h" i.step
+          i.workload_error recomputed
+    end;
+    lines :=
+      Printf.sprintf "step %d %d %Lx %s" i.step i.size
+        (Int64.bits_of_float i.workload_error)
+        i.description
+      :: !lines
+  in
+  let sk =
+    Xbuild.build ?pool ~seed:7 ~candidates:8 ~max_steps:300 ~on_step ~workload ~truth
+      ~budget doc
+  in
+  let bytes = Sketch_io.to_string ~budget ~seed:7 sk in
+  let header = "sketch " ^ Digest.to_hex (Digest.string bytes) in
+  String.concat "\n" (header :: List.rev !lines) ^ "\n"
+
+let golden_docs =
+  [
+    ("imdb", "xbuild_imdb.golden", lazy doc);
+    ("xmark", "xbuild_xmark.golden", 
+      lazy (Xtwig_datagen.Xmark.generate ~scale:0.01 ()));
+  ]
+
+let check_golden ?pool ~recompute () =
+  List.iter
+    (fun (name, file, doc) ->
+      let expected = In_channel.with_open_bin (fixture file) In_channel.input_all in
+      Alcotest.(check string) (name ^ " sketch and trajectory") expected
+        (golden_run ?pool ~recompute (Lazy.force doc)))
+    golden_docs
+
+let test_golden () = check_golden ~recompute:true ()
+
+let test_golden_pooled () =
+  Xtwig_util.Pool.with_pool ~domains:2 (fun pool ->
+      check_golden ~pool ~recompute:false ())
+
 let () =
   Alcotest.run "xbuild"
     [
@@ -131,5 +216,10 @@ let () =
           Alcotest.test_case "workload_error helper" `Quick test_workload_error_helper;
           Alcotest.test_case "build compiles no plans" `Slow
             test_build_compiles_no_plans;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "sequential" `Slow test_golden;
+          Alcotest.test_case "2-domain pool" `Slow test_golden_pooled;
         ] );
     ]
