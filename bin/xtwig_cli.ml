@@ -358,32 +358,25 @@ let estimate_cmd =
        Fun.protect
          ~finally:(fun () -> Xtwig.close_session engine)
          (fun () ->
-           let* a, prov =
-             if explain then
-               let* p = Xtwig.explain engine q in
-               Ok (p.Engine.pv_answer, Some p)
-             else
-               let* a = Xtwig.estimate engine q in
-               Ok (a, None)
-           in
+           let* a = Xtwig.estimate engine q in
            let st = Engine.stats engine in
            Format.printf "backend:  %s, synopsis %d bytes@." st.Engine.backend
              st.Engine.sketch_bytes;
            Format.printf "estimate: %.2f%s@." a.Engine.estimate
              (if a.Engine.fallback then "  (timeout: coarse fallback)" else "");
-           (match prov with
-           | None -> ()
-           | Some p ->
-               Format.printf "tier:     %s@." (Engine.tier_label p.Engine.pv_tier);
-               Format.printf "embeddings: %d@." p.Engine.pv_embeddings;
-               Format.printf "retries:  %d@." a.Engine.retries;
-               Format.printf "fallback reason: %s@."
-                 (match a.Engine.reason with
-                 | None -> "-"
-                 | Some Engine.Timeout -> "timeout"
-                 | Some Engine.Fault -> "fault"
-                 | Some Engine.Circuit_open -> "circuit-open"
-                 | Some Engine.Guard -> "guard"));
+           if explain then begin
+             let p = a.Engine.provenance in
+             Format.printf "tier:     %s@." (Engine.tier_label p.Engine.pv_tier);
+             Format.printf "embeddings: %d@." p.Engine.pv_embeddings;
+             Format.printf "retries:  %d@." a.Engine.retries;
+             Format.printf "fallback reason: %s@."
+               (match a.Engine.reason with
+               | None -> "-"
+               | Some Engine.Timeout -> "timeout"
+               | Some Engine.Fault -> "fault"
+               | Some Engine.Circuit_open -> "circuit-open"
+               | Some Engine.Guard -> "guard")
+           end;
            if verbose then begin
              Format.printf "elapsed:  %.6f s@." a.Engine.elapsed_s;
              Format.printf "fallback: %b@." a.Engine.fallback;

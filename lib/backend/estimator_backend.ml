@@ -34,7 +34,7 @@ let size_bytes (Instance ((module M), v)) = M.size_bytes v
    and runs the recursive evaluator over them ([Estimator.estimate]);
    compiling a plan that runs once costs more than interpreting it. The
    engine's session path (Engine.of_sketch) bypasses this module on
-   purpose to reuse embeddings and compiled plans across calls. *)
+   purpose to reuse compiled plans across calls. *)
 
 module Xsketch = struct
   type t = { sk : Sketch.t; coarse_sk : Sketch.t Lazy.t }
@@ -47,16 +47,7 @@ module Xsketch = struct
   let build ?(budget = 8192) ?(seed = 42) doc =
     if budget <= 0 then Error (Xerror.Usage "budget must be positive")
     else
-      let truth_tbl = Hashtbl.create 256 in
-      let truth q =
-        let k = Xtwig_path.Path_printer.twig_to_string q in
-        match Hashtbl.find_opt truth_tbl k with
-        | Some v -> v
-        | None ->
-            let v = float_of_int (Xtwig_eval.Eval_twig.selectivity doc q) in
-            Hashtbl.add truth_tbl k v;
-            v
-      in
+      let truth = Xbuild.memo_truth doc in
       let workload prng ~focus =
         Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
       in

@@ -1,6 +1,4 @@
-module Doc = Xtwig_xml.Doc
 module Sketch = Xtwig_sketch.Sketch
-module Embed = Xtwig_sketch.Embed
 module Est = Xtwig_sketch.Estimator
 module Plan = Xtwig_sketch.Plan
 module Xbuild = Xtwig_sketch.Xbuild
@@ -14,6 +12,7 @@ module Fault = Xtwig_fault.Fault
 module Backend = Xtwig_backend.Estimator_backend
 
 let c_queries = Counters.counter "engine.queries"
+let t_plan_run = Counters.timer "plan.run_ns"
 let c_timeouts = Counters.counter "engine.timeouts"
 let c_batches = Counters.counter "engine.batches"
 let c_retries = Metrics.counter "engine.retries"
@@ -39,6 +38,20 @@ let h_query =
    so the spans and answers of concurrent batches can be correlated *)
 let next_trace_id = Atomic.make 1
 
+type plan_tier = Cache_hit | Fresh_compile | Backend_opaque
+
+let tier_label = function
+  | Cache_hit -> "cache_hit"
+  | Fresh_compile -> "fresh_compile"
+  | Backend_opaque -> "backend"
+
+type provenance = {
+  pv_tier : plan_tier;
+  pv_embeddings : int;
+  pv_compile_ns : int;
+  pv_run_ns : int;
+}
+
 type answer = {
   query : Xtwig_path.Path_types.twig;
   estimate : float;
@@ -47,6 +60,7 @@ type answer = {
   retries : int;
   elapsed_s : float;
   trace_id : int;
+  provenance : provenance;
 }
 
 type stats = {
@@ -70,15 +84,14 @@ type stats = {
 type breaker = Closed | Open_until of float | Half_open
 
 (* What actually answers a query: either the compiled XSKETCH fast
-   path (embedding cache + plan cache + coarse label-split fallback)
-   or an opaque estimator behind the Estimator_backend signature. The
+   path (the session table of plans + coarse label-split fallback) or
+   an opaque estimator behind the Estimator_backend signature. The
    hardening fabric (retry, breaker, timeout, guards) is shared. *)
 type core =
   | Sk of {
       sk : Sketch.t;
       coarse : Sketch.t;  (* label-split fallback, shares the document *)
-      cache : Embed.cache;  (* session-lived, keyed to sk's synopsis *)
-      pcache : Plan.cache;  (* sk's compiled plans, same lifecycle *)
+      table : Plan.cache;  (* sk's plans and guard facts, per exact twig *)
     }
   | Bk of Backend.instance
 
@@ -168,6 +181,14 @@ let mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s ~retries ~backoff_s
     fb_counter;
   }
 
+let sk_core ~max_embeddings ~max_embed_nodes sk =
+  Sk
+    {
+      sk;
+      coarse = Sketch.default_of_doc (Sketch.doc sk);
+      table = Plan.create_cache ~max_embeddings ~max_embed_nodes sk;
+    }
+
 let check_session_args ~jobs ~retries =
   if jobs < 1 then Error (Xerror.Engine "jobs must be >= 1")
   else if retries < 0 then Error (Xerror.Engine "retries must be >= 0")
@@ -179,15 +200,7 @@ let of_sketch ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
     =
   Result.map
     (fun () ->
-      let core =
-        Sk
-          {
-            sk;
-            coarse = Sketch.default_of_doc (Sketch.doc sk);
-            cache = Embed.create_cache (Sketch.synopsis sk);
-            pcache = Plan.create_cache sk;
-          }
-      in
+      let core = sk_core ~max_embeddings ~max_embed_nodes sk in
       mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s:0.0 ~retries
         ~backoff_s ~breaker_threshold ~breaker_cooldown_s ~max_embeddings
         ~max_embed_nodes ())
@@ -208,21 +221,9 @@ let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
     ?(breaker_threshold = 8) ?(breaker_cooldown_s = 0.25)
     ?(max_embeddings = 100_000) ?(max_embed_nodes = 1_000_000) ?on_embedding
     ~budget doc =
-  if budget <= 0 then Error (Xerror.Engine "budget must be positive")
-  else if jobs < 1 then Error (Xerror.Engine "jobs must be >= 1")
-  else if retries < 0 then Error (Xerror.Engine "retries must be >= 0")
-  else begin
+  let open_session () =
     let pool = make_pool jobs in
-    let truth_tbl = Hashtbl.create 256 in
-    let truth q =
-      let k = Xtwig_path.Path_printer.twig_to_string q in
-      match Hashtbl.find_opt truth_tbl k with
-      | Some v -> v
-      | None ->
-          let v = float_of_int (Xtwig_eval.Eval_twig.selectivity doc q) in
-          Hashtbl.add truth_tbl k v;
-          v
-    in
+    let truth = Xbuild.memo_truth doc in
     let workload prng ~focus =
       Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
     in
@@ -232,20 +233,13 @@ let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
         doc
     in
     let build_s = now () -. t0 in
-    let core =
-      Sk
-        {
-          sk;
-          coarse = Sketch.default_of_doc doc;
-          cache = Embed.create_cache (Sketch.synopsis sk);
-          pcache = Plan.create_cache sk;
-        }
-    in
-    Ok
-      (mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s ~retries
-         ~backoff_s ~breaker_threshold ~breaker_cooldown_s ~max_embeddings
-         ~max_embed_nodes ~pool ())
-  end
+    let core = sk_core ~max_embeddings ~max_embed_nodes sk in
+    mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s ~retries ~backoff_s
+      ~breaker_threshold ~breaker_cooldown_s ~max_embeddings ~max_embed_nodes
+      ~pool ()
+  in
+  if budget <= 0 then Error (Xerror.Engine "budget must be positive")
+  else Result.map open_session (check_session_args ~jobs ~retries)
 
 (* Capped exponential backoff between retry attempts: base * 2^k,
    never more than 50 ms — the engine bounds tail latency, so waiting
@@ -262,6 +256,10 @@ let coarse_estimate t q =
   | Sk { coarse; _ } -> ( try Est.estimate coarse q with _ -> 0.0)
   | Bk inst -> ( try Backend.coarse inst q with _ -> 0.0)
 
+let no_plans t =
+  let pv_tier = match t.core with Sk _ -> Cache_hit | Bk _ -> Backend_opaque in
+  { pv_tier; pv_embeddings = 0; pv_compile_ns = 0; pv_run_ns = 0 }
+
 let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
   Metrics.incr (t.fb_counter reason);
   Trace.instant
@@ -277,21 +275,25 @@ let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
     retries;
     elapsed_s;
     trace_id;
+    provenance = no_plans t;
   }
 
 (* Evaluate one query through its pre-compiled plans (one per
    embedding), checking the deadline between embedding contributions
    (runs on a worker when the session has a pool). The sum visits
    plans in enumeration order — identical to Estimator.estimate's
-   fold, so jobs > 1 changes scheduling, never values. A raising
-   evaluation (injected fault at [engine.query], a panicking
-   [on_embedding] hook) is retried with backoff, then degraded to the
-   coarse estimate — never propagated. *)
-let eval_one t ~trace_id ~deadline q plans =
+   fold, so jobs > 1 changes scheduling, never values. One clock pair
+   per query times the plan runs into [plan.run_ns] and the answer's
+   provenance. A raising evaluation (injected fault at
+   [engine.query], a panicking [on_embedding] hook) is retried with
+   backoff, then degraded to the coarse estimate — never
+   propagated. *)
+let eval_one t ~trace_id ~deadline q plans pv =
   Trace.with_span ~name:"engine.query"
     ~args:[ ("trace_id", string_of_int trace_id) ]
   @@ fun () ->
   let t0 = now () in
+  let run_ns = ref 0 in
   let run_plans () =
     Fault.point "engine.query";
     match t.core with
@@ -305,7 +307,15 @@ let eval_one t ~trace_id ~deadline q plans =
             go (acc +. Plan.run plans.(i)) (i + 1)
           end
         in
-        if now () > deadline then None else go 0.0 0
+        if now () > deadline then None
+        else begin
+          let r0 = Counters.now_ns () in
+          let r = go 0.0 0 in
+          let ns = Int64.to_int (Int64.sub (Counters.now_ns ()) r0) in
+          Counters.incr ~by:ns t_plan_run;
+          run_ns := !run_ns + ns;
+          r
+        end
     | Bk inst ->
         (* opaque backends evaluate in one step: the deadline is
            checked before (and re-checked after, so an over-budget
@@ -338,7 +348,16 @@ let eval_one t ~trace_id ~deadline q plans =
   | None -> ());
   let elapsed_s = now () -. t0 in
   Metrics.observe t.h_query_s elapsed_s;
-  { query = q; estimate; fallback = reason <> None; reason; retries; elapsed_s; trace_id }
+  {
+    query = q;
+    estimate;
+    fallback = reason <> None;
+    reason;
+    retries;
+    elapsed_s;
+    trace_id;
+    provenance = { pv with pv_run_ns = !run_ns };
+  }
 
 (* Owner-domain circuit-breaker gate, consulted once per query during
    the (sequential) compile phase. Cooldown expiry flips the breaker
@@ -386,13 +405,13 @@ let record_outcome t ~probe i a =
       end
 
 (* Compile phase for one query, on the owner under the query's fault
-   scope: enumerate embeddings (guarded by cardinality and node-count
-   ceilings), then look the plans up, compiling them on the query's
-   first sighting; injected faults at [embed.fill] / [plan.fill] are
-   retried with backoff while the deadline allows. The deadline is set
-   here, before compilation, so compile time spends the same budget
-   evaluation does. [Ok] carries whether this lookup compiled, which
-   is the plan tier {!explain} reports. *)
+   scope: one lookup in the session table, which on the query's first
+   sighting enumerates its embeddings, checks the cardinality and
+   node-count guards and compiles its plans; injected faults at
+   [embed.fill] / [plan.fill] are retried with backoff while the
+   deadline allows. The deadline is set here, before compilation, so
+   compile time spends the same budget evaluation does. [Ok] carries
+   the plans and the provenance of this lookup. *)
 let compile_prep t ~timeout ~probe i q =
   Fault.with_scope i @@ fun () ->
   if breaker_blocks t probe i then Error (Circuit_open, 0)
@@ -402,22 +421,21 @@ let compile_prep t ~timeout ~probe i q =
     | Bk _ ->
         (* opaque backends have no compile phase: evaluation happens
            in eval_one, under the same deadline *)
-        Ok ([||], false, deadline, 0)
-    | Sk { sk; cache; pcache; _ } ->
+        Ok ([||], no_plans t, deadline, 0)
+    | Sk { table; _ } ->
         let rec attempt k =
-          match
-            let embs = Embed.embeddings_cached cache (Sketch.synopsis sk) q in
-            if List.length embs > t.max_embeddings then `Guard
-            else begin
-              let nodes =
-                List.fold_left (fun a e -> a + Embed.size e) 0 embs
+          match Plan.lookup table q with
+          | { Plan.guarded = true; _ } -> Error (Guard, k)
+          | { Plan.plans; compiled; compile_ns; _ } ->
+              let pv =
+                {
+                  pv_tier = (if compiled then Fresh_compile else Cache_hit);
+                  pv_embeddings = Array.length plans;
+                  pv_compile_ns = compile_ns;
+                  pv_run_ns = 0;
+                }
               in
-              if nodes > t.max_embed_nodes then `Guard
-              else `Plans (Plan.find_or_compile pcache ~key:(Embed.cache_key q) embs)
-            end
-          with
-          | `Plans (plans, compiled) -> Ok (plans, compiled, deadline, k)
-          | `Guard -> Error (Guard, k)
+              Ok (plans, pv, deadline, k)
           | exception _ when k < t.retry_limit && now () <= deadline ->
               Metrics.incr c_retries;
               backoff t k;
@@ -450,11 +468,9 @@ let estimate_batch ?timeout_s ?trace_id t queries =
           ]
       @@ fun () ->
       let t0 = now () in
-      (* enumeration and plan compilation on the owner domain against
-         the session caches; the embedding cache is frozen before any
-         fan-out (the cache ownership rule), and workers only run the
-         plans they are handed *)
-      (match t.core with Sk { cache; _ } -> Embed.thaw cache | Bk _ -> ());
+      (* table lookups (and so enumeration and plan compilation) on the
+         owner domain, the table's only reader and writer; workers only
+         run the plans they are handed *)
       let probe = ref None in
       let prepped =
         Trace.with_span ~name:"engine.embed_batch" (fun () ->
@@ -462,12 +478,11 @@ let estimate_batch ?timeout_s ?trace_id t queries =
               (fun i q -> (q, compile_prep t ~timeout ~probe i q))
               queries)
       in
-      (match t.core with Sk { cache; _ } -> Embed.freeze cache | Bk _ -> ());
       let earr = Array.of_list prepped in
       let run (q, prep) =
         match prep with
-        | Ok (plans, _, deadline, retries) ->
-            let a = eval_one t ~trace_id ~deadline q plans in
+        | Ok (plans, pv, deadline, retries) ->
+            let a = eval_one t ~trace_id ~deadline q plans pv in
             { a with retries = a.retries + retries }
         | Error (reason, retries) ->
             degrade_answer t ~trace_id ~t0:(now ()) ~reason ~retries q
@@ -537,96 +552,11 @@ let estimate_batch ?timeout_s ?trace_id t queries =
              (Printf.sprintf "internal failure: %s" (Printexc.to_string e)))
   end
 
-let estimate ?timeout_s t q =
-  match estimate_batch ?timeout_s t [ q ] with
+let estimate ?timeout_s ?trace_id t q =
+  match estimate_batch ?timeout_s ?trace_id t [ q ] with
   | Ok [ a ] -> Ok a
   | Ok _ -> assert false
   | Error e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Per-query provenance: which plan tier answered                      *)
-
-type plan_tier = Cache_hit | Fresh_compile | Backend_opaque
-
-let tier_label = function
-  | Cache_hit -> "cache_hit"
-  | Fresh_compile -> "fresh_compile"
-  | Backend_opaque -> "backend"
-
-type provenance = {
-  pv_answer : answer;
-  pv_backend : string;
-  pv_tier : plan_tier;
-  pv_embeddings : int;
-}
-
-(* The tier is what this query's own cache lookup reported, so
-   compiles in other sessions or on other domains cannot leak into
-   it. *)
-let explain ?timeout_s ?trace_id t q =
-  if t.closed then Error (Xerror.Engine "session is closed")
-  else begin
-    match
-      let timeout = Option.value timeout_s ~default:t.default_timeout in
-      let tid =
-        match trace_id with
-        | Some id -> id
-        | None -> Atomic.fetch_and_add next_trace_id 1
-      in
-      Trace.with_trace_id tid @@ fun () ->
-      Trace.with_span ~name:"engine.explain"
-        ~args:[ ("trace_id", string_of_int tid) ]
-      @@ fun () ->
-      let t0 = now () in
-      (match t.core with Sk { cache; _ } -> Embed.thaw cache | Bk _ -> ());
-      let probe = ref None in
-      let prep = compile_prep t ~timeout ~probe 0 q in
-      (match t.core with Sk { cache; _ } -> Embed.freeze cache | Bk _ -> ());
-      let a =
-        match prep with
-        | Ok (plans, _, deadline, retries) -> (
-            match
-              Fault.with_scope 0 (fun () -> eval_one t ~trace_id:tid ~deadline q plans)
-            with
-            | a -> { a with retries = a.retries + retries }
-            | exception _ ->
-                degrade_answer t ~trace_id:tid ~t0:(now ()) ~reason:Fault
-                  ~retries q)
-        | Error (reason, retries) ->
-            degrade_answer t ~trace_id:tid ~t0:(now ()) ~reason ~retries q
-      in
-      record_outcome t ~probe:!probe 0 a;
-      t.batches <- t.batches + 1;
-      t.queries_served <- t.queries_served + 1;
-      (match a.reason with
-      | Some Timeout -> t.timeouts <- t.timeouts + 1
-      | Some _ -> t.degraded <- t.degraded + 1
-      | None -> ());
-      t.retries_total <- t.retries_total + a.retries;
-      Counters.incr c_batches;
-      Counters.incr c_queries;
-      if a.reason = Some Timeout then Counters.incr c_timeouts;
-      t.estimate_s <- t.estimate_s +. (now () -. t0);
-      let tier =
-        match (t.core, prep) with
-        | Bk _, _ -> Backend_opaque
-        | Sk _, Ok (_, true, _, _) -> Fresh_compile
-        | Sk _, _ -> Cache_hit
-      in
-      let embeddings =
-        match prep with Ok (plans, _, _, _) -> Array.length plans | Error _ -> 0
-      in
-      let backend =
-        match t.core with Sk _ -> "xsketch" | Bk inst -> Backend.name_of inst
-      in
-      { pv_answer = a; pv_backend = backend; pv_tier = tier; pv_embeddings = embeddings }
-    with
-    | p -> Ok p
-    | exception e ->
-        Error
-          (Xerror.Engine
-             (Printf.sprintf "internal failure: %s" (Printexc.to_string e)))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Incremental document updates                                        *)
@@ -634,9 +564,9 @@ let explain ?timeout_s ?trace_id t q =
 (* Swap the core for one maintained incrementally across a subtree
    splice. Runs on the owner domain between batches (the same
    single-writer discipline as [stats] / [close]): workers only ever
-   see the core their batch captured. Both caches are keyed to the old
-   sketch and start fresh: each query compiles again on its first
-   sighting after the update. *)
+   see the core their batch captured. The session table is keyed to
+   the old sketch and starts fresh: each query compiles again on its
+   first sighting after the update. *)
 let update t delta =
   if t.closed then Error (Xerror.Engine "session is closed")
   else
@@ -651,13 +581,8 @@ let update t delta =
         match Sketch.apply_delta sk delta with
         | sk' ->
             t.core <-
-              Sk
-                {
-                  sk = sk';
-                  coarse = Sketch.default_of_doc (Sketch.doc sk');
-                  cache = Embed.create_cache (Sketch.synopsis sk');
-                  pcache = Plan.create_cache sk';
-                };
+              sk_core ~max_embeddings:t.max_embeddings
+                ~max_embed_nodes:t.max_embed_nodes sk';
             Ok ()
         | exception Invalid_argument msg -> Error (Xerror.Usage msg)
         | exception Fault.Injected _ ->

@@ -5,25 +5,27 @@
     system treats it as a session: build (or load) a synopsis once,
     then answer batches of twig queries against it for the lifetime of
     the process. [Engine.t] packages exactly that — the built sketch,
-    a coarse fallback sketch, a long-lived embedding cache, a plan
-    cache, and an optional {!Xtwig_util.Pool} of worker domains that
-    evaluates the queries of a batch concurrently.
+    a coarse fallback sketch, one session table of compiled plans
+    ({!Xtwig_sketch.Plan.cache}), and an optional {!Xtwig_util.Pool}
+    of worker domains that evaluates the queries of a batch
+    concurrently.
 
     A session is the one place plans are compiled
     ({!Xtwig_sketch.Plan}): a query compiles on its first sighting
-    and its plans are run from then on. Everything else a session
-    computes once — the coarse fallback, XBUILD's estimates in
-    {!create} — runs the recursive evaluator.
+    and its plans are run from then on. The table keys each query by
+    its exact identity ({!Xtwig_path.Path_types.Twig_tbl}), so a warm
+    call costs one hash, one equality check and the plan runs.
+    Everything else a session computes once — the coarse fallback,
+    XBUILD's estimates in {!create} — runs the recursive evaluator.
 
     {2 Concurrency model}
 
     One domain owns the session (creates it, submits batches, reads
-    stats, closes it). Within a batch, embedding enumeration and plan
-    compilation run on the owner against the session caches (the
-    owner is their only writer), and per-query evaluation fans out to
-    the pool;
-    results return in query order, so a batch's answers are identical
-    whatever [jobs] is.
+    stats, closes it). Within a batch, the table lookups — and so
+    embedding enumeration and plan compilation — run on the owner,
+    the table's only reader and writer, and per-query evaluation fans
+    out to the pool; results return in query order, so a batch's
+    answers are identical whatever [jobs] is.
 
     {2 Timeouts and graceful degradation}
 
@@ -43,7 +45,7 @@
     degraded answer (flagged with its {!fallback_reason}) or a typed
     [Error _]. The failure paths, in the order they engage:
 
-    - {b Retry}: an exception out of a cache fill ([embed.fill],
+    - {b Retry}: an exception out of a table fill ([embed.fill],
       [plan.fill]), a query evaluation ([engine.query]) or a pool job
       ([pool.task]) is retried up to [retries] times with capped
       exponential backoff before degrading with reason [Fault].
@@ -54,7 +56,9 @@
       through (half-open); its outcome closes or re-opens the breaker.
     - {b Guards}: a query whose embedding enumeration exceeds
       [max_embeddings] embeddings or [max_embed_nodes] total nodes
-      degrades with reason [Guard] instead of exhausting memory.
+      degrades with reason [Guard] instead of exhausting memory. Its
+      table entry keeps the guard facts and no plans, so later
+      sightings degrade without enumerating again.
 
     Degradations are counted per reason in
     [engine.fallback{reason=...}], retries in [engine.retries], and
@@ -68,6 +72,35 @@ type fallback_reason =
   | Fault  (** retries exhausted on a raising evaluation or fill *)
   | Circuit_open  (** the breaker was open; no work was attempted *)
   | Guard  (** embedding enumeration exceeded the cardinality guards *)
+
+(** {2 Estimate provenance}
+
+    Every answer carries the facts of its own table lookup and plan
+    runs, as the code path that produced them returned them, so
+    compiles in other sessions or on other domains never leak into
+    them. *)
+
+type plan_tier =
+  | Cache_hit
+      (** the query's compiled plans were served from the session
+          table; also the tier of an answer that ran no plans *)
+  | Fresh_compile  (** this request compiled the query's plans *)
+  | Backend_opaque  (** an {!of_backend} session — no plans *)
+
+val tier_label : plan_tier -> string
+(** Stable lowercase token, e.g. ["cache_hit"] — the wire encoding of
+    the serving layer's [explain] verb. *)
+
+type provenance = {
+  pv_tier : plan_tier;
+  pv_embeddings : int;
+      (** embeddings enumerated (= compiled plans) for the query; 0
+          when the compile phase degraded or on a backend session *)
+  pv_compile_ns : int;  (** time this request spent compiling plans *)
+  pv_run_ns : int;
+      (** time spent running the plans (one clock pair per query, also
+          booked under [plan.run_ns]); 0 on a backend session *)
+}
 
 type answer = {
   query : Xtwig_path.Path_types.twig;
@@ -83,6 +116,7 @@ type answer = {
           across every session of the process, and attached to the
           batch's [engine.query] trace spans so an answer can be
           correlated with its spans in a {!Xtwig_obs.Trace} dump *)
+  provenance : provenance;
 }
 
 type stats = {
@@ -203,42 +237,10 @@ val estimate_batch :
     byte-identical across runs and across [jobs] counts. *)
 
 val estimate :
-  ?timeout_s:float -> t -> Xtwig_path.Path_types.twig ->
-  (answer, Xtwig_util.Xerror.t) result
-(** One-query batch. *)
-
-(** {2 Estimate provenance}
-
-    A session compiles a query's plans on its first sighting and runs
-    the cached plans from then on. {!explain} reports which of the two
-    happened for one request, as its own cache lookup saw it. *)
-
-type plan_tier =
-  | Cache_hit  (** the query's compiled plans were served from the cache *)
-  | Fresh_compile  (** this request compiled the query's plans *)
-  | Backend_opaque  (** an {!of_backend} session — no plans *)
-
-val tier_label : plan_tier -> string
-(** Stable lowercase token, e.g. ["cache_hit"] — the wire encoding of
-    the serving layer's [explain] verb. *)
-
-type provenance = {
-  pv_answer : answer;  (** the estimate itself, as {!estimate} returns *)
-  pv_backend : string;  (** {!backend_name} of the session *)
-  pv_tier : plan_tier;
-  pv_embeddings : int;
-      (** embeddings enumerated (= compiled plans) for the query; 0
-          when the compile phase degraded or on a backend session *)
-}
-
-val explain :
   ?timeout_s:float -> ?trace_id:int -> t -> Xtwig_path.Path_types.twig ->
-  (provenance, Xtwig_util.Xerror.t) result
-(** Evaluate one query (inline on the owner, identical estimate to
-    {!estimate}) and report its provenance. The tier is the outcome of
-    this query's own plan-cache lookup, so concurrent compiles in
-    other sessions or on other domains never leak into it. Never
-    raises; same error contract as {!estimate_batch}. *)
+  (answer, Xtwig_util.Xerror.t) result
+(** One-query batch. The serving layer's [explain] verb is this call
+    plus printing of the answer's {!provenance}. *)
 
 val update :
   t -> Xtwig_sketch.Sketch.delta -> (unit, Xtwig_util.Xerror.t) result
@@ -246,9 +248,9 @@ val update :
     in the incrementally maintained sketch
     ({!Xtwig_sketch.Sketch.apply_delta}): summaries untouched by the
     edit are reused in place, the coarse fallback is rebuilt over the
-    new document, and the embedding and plan caches start fresh (they
-    are keyed to the old sketch), so each query compiles again on its
-    first sighting after the update.
+    new document, and the session table starts fresh (it is keyed to
+    the old sketch), so each query compiles again on its first
+    sighting after the update.
 
     Owner-domain only, between batches — the same single-writer
     discipline as {!stats} and {!close}; a batch in flight keeps the

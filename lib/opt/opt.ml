@@ -246,15 +246,20 @@ let to_lines p =
   head @ List.rev !orders
 
 (* value predicates are priced by propagation, not by the structural
-   estimator: strip them from the twigs we cost *)
+   estimator: strip them from the twigs we cost. Parts without one are
+   shared, not copied, so a costing-memo key holds little beyond the
+   query it was cut from. *)
 let rec strip_path p =
-  List.map
-    (fun st ->
-      { st with vpred = None; branches = List.map strip_path st.branches })
-    p
+  if not (path_has_value_pred p) then p
+  else
+    List.map
+      (fun st ->
+        { st with vpred = None; branches = List.map strip_path st.branches })
+      p
 
 let rec strip_twig t =
-  { path = strip_path t.path; subs = List.map strip_twig t.subs }
+  if not (twig_has_value_pred t) then t
+  else { path = strip_path t.path; subs = List.map strip_twig t.subs }
 
 let m_plans = Counters.counter "opt.plans"
 let m_changed = Counters.counter "opt.order_changed"

@@ -20,10 +20,6 @@ type twig = { path : path; subs : twig list }
 let step ?(axis = Child) ?vpred ?(branches = []) label =
   { axis; label; vpred; branches }
 
-let path_of_labels labels =
-  assert (labels <> []);
-  List.map (fun l -> step l) labels
-
 let twig path subs = { path; subs }
 
 let rec twig_size t = 1 + List.fold_left (fun acc s -> acc + twig_size s) 0 t.subs
@@ -74,5 +70,46 @@ let twig_labels t =
   go_twig t;
   List.rev !out
 
-let compare_twig = Stdlib.compare
-let equal_twig a b = compare_twig a b = 0
+(* Exact identity: floats compare by their bits (so [-0.0] and [0.0]
+   differ), strings by content. Printed text is not an identity:
+   [%.6g] maps distinct range bounds to one string. *)
+let equal_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let equal_vpred a b =
+  match (a, b) with
+  | Range (lo, hi), Range (lo', hi') -> equal_float lo lo' && equal_float hi hi'
+  | Cmp (o, Xtwig_xml.Value.Float f), Cmp (o', Float f') -> o = o' && equal_float f f'
+  | _ -> a = b
+
+let rec equal_step a b =
+  a.axis = b.axis
+  && String.equal a.label b.label
+  && Option.equal equal_vpred a.vpred b.vpred
+  && List.equal (List.equal equal_step) a.branches b.branches
+
+let rec equal_twig a b =
+  a == b || (List.equal equal_step a.path b.path && List.equal equal_twig a.subs b.subs)
+
+(* Every node enters the hash: the polymorphic [Hashtbl.hash] stops
+   after ten meaningful words, which leaves twigs that differ only
+   deep down (a range bound, a last label) colliding. *)
+let mix h x = (h * 0x100000001b3) + x
+
+let rec hash_path h p =
+  List.fold_left
+    (fun h s ->
+      let h = mix (mix h (Hashtbl.hash s.label)) (Hashtbl.hash s.vpred) in
+      let h = mix h (match s.axis with Child -> 1 | Descendant -> 2) in
+      List.fold_left (fun h b -> mix (hash_path h b) 3) h s.branches)
+    h p
+
+let hash_twig t =
+  let rec go h t = mix (List.fold_left go (hash_path (mix h 4) t.path) t.subs) 5 in
+  Hashtbl.hash (go 0 t)
+
+module Twig_tbl = Hashtbl.Make (struct
+  type t = twig
+
+  let equal = equal_twig
+  let hash = hash_twig
+end)

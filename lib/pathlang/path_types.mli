@@ -44,9 +44,6 @@ val step :
   ?axis:axis -> ?vpred:value_pred -> ?branches:path list -> string -> step
 (** [step l] is a child-axis step across label [l]. *)
 
-val path_of_labels : string list -> path
-(** Simple child-axis path, no predicates. *)
-
 val twig : path -> twig list -> twig
 
 (** {1 Shape accessors} *)
@@ -69,5 +66,18 @@ val twig_labels : twig -> string list
 (** All labels mentioned anywhere in the query (steps and branches),
     without duplicates. *)
 
+(** {1 Exact identity} *)
+
 val equal_twig : twig -> twig -> bool
-val compare_twig : twig -> twig -> int
+(** Structural equality that is exact: float constants compare by
+    [Int64.bits_of_float] (so [-0.0] and [0.0] differ), labels and
+    [Text] values by [String.equal]. Two twigs whose printed texts
+    coincide ([%.6g] bounds) can still differ here. *)
+
+val hash_twig : twig -> int
+(** A hash over every node, step, label and constant of the twig;
+    [equal_twig a b] implies [hash_twig a = hash_twig b]. *)
+
+module Twig_tbl : Hashtbl.S with type key = twig
+(** Tables keyed by exact twig identity ({!equal_twig}, {!hash_twig}):
+    every cache of per-query results uses it. *)

@@ -248,12 +248,12 @@ let encode_answer (a : Xtwig.Engine.answer) =
    first line is the answer in the exact [encode_answer] wire format,
    so an explain reply's estimate is byte-comparable with an estimate
    reply's. *)
-let encode_provenance (p : Xtwig.Engine.provenance) =
-  let a = p.Xtwig.Engine.pv_answer in
+let encode_provenance ~backend (a : Xtwig.Engine.answer) =
+  let p = a.Xtwig.Engine.provenance in
   String.concat "\n"
     [
       "answer " ^ encode_answer a;
-      "backend " ^ p.Xtwig.Engine.pv_backend;
+      "backend " ^ backend;
       "tier " ^ Xtwig.Engine.tier_label p.Xtwig.Engine.pv_tier;
       Printf.sprintf "embeddings %d" p.Xtwig.Engine.pv_embeddings;
       Printf.sprintf "retries %d" a.Xtwig.Engine.retries;

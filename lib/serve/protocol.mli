@@ -112,9 +112,10 @@ type wire_answer = { estimate : float; fallback : bool; reason : string }
 val encode_answer : Xtwig.Engine.answer -> string
 val decode_answer : string -> (wire_answer, string) result
 
-val encode_provenance : Xtwig.Engine.provenance -> string
-(** The [explain] reply body: one [key value] pair per line — [answer]
-    (in the {!encode_answer} wire format, so estimates stay
+val encode_provenance : backend:string -> Xtwig.Engine.answer -> string
+(** The [explain] reply body, printed from the answer's provenance
+    and the session's backend name: one [key value] pair per line —
+    [answer] (in the {!encode_answer} wire format, so estimates stay
     byte-comparable), [backend], [tier] ({!Xtwig.Engine.tier_label}:
     [cache_hit], [fresh_compile] or [backend]), [embeddings],
     [retries], [fallback_reason], [elapsed_us],

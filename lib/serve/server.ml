@@ -615,12 +615,15 @@ let process_explain t tenant_name ~run_start_ns it q =
         finish_item t it ~run_start_ns ~exec_start_ns
           ~exec_end_ns:(Trace.now_ns ()) resp
       in
+      let eng = Catalog.engine tn in
       match
         Fault.point "serve.batch";
-        Engine.explain ?trace_id:it.trace (Catalog.engine tn) q
+        Engine.estimate ?trace_id:it.trace eng q
       with
-      | Ok p ->
-          finish (Protocol.Reply (Protocol.encode_provenance p));
+      | Ok a ->
+          finish
+            (Protocol.Reply
+               (Protocol.encode_provenance ~backend:(Engine.backend_name eng) a));
           note_breaker t tenant_name
       | Error e ->
           finish (Protocol.Fail e);

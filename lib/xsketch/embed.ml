@@ -274,17 +274,19 @@ let c_misses = Counters.counter "embed.cache_misses"
 
 type cache = {
   csyn : G.t;
-  tbl : (string, enode list * bool) Hashtbl.t;
+  tbl : (enode list * bool) Twig_tbl.t;
   chains : chains_memo;
   lock : Mutex.t;
   mutable frozen : bool;
 }
 
+let chains_memo () : chains_memo = Hashtbl.create 64
+
 let create_cache syn =
   {
     csyn = syn;
-    tbl = Hashtbl.create 64;
-    chains = Hashtbl.create 64;
+    tbl = Twig_tbl.create 64;
+    chains = chains_memo ();
     lock = Mutex.create ();
     frozen = false;
   }
@@ -293,23 +295,18 @@ let cache_synopsis c = c.csyn
 let freeze c = c.frozen <- true
 let thaw c = c.frozen <- false
 
-let cache_key ?(max_alternatives = 64) twig =
-  Printf.sprintf "%d#%s" max_alternatives
-    (Xtwig_path.Path_printer.twig_to_string twig)
-
-let embeddings_cached cache ?(max_alternatives = 64) syn twig =
+let embeddings_cached cache syn twig =
   if syn != cache.csyn then begin
     (* a different synopsis: the cache does not apply *)
     Counters.incr c_misses;
-    embeddings ~max_alternatives syn twig
+    embeddings syn twig
   end
   else
-    let key = cache_key ~max_alternatives twig in
     (* lock-free lookups are sound under the ownership rule (the cache
        is warmed by one domain, then frozen before any fan-out); the
        insertion lock only defends against a caller that violates it,
        turning a memory race into (at worst) a duplicated enumeration *)
-    match Hashtbl.find_opt cache.tbl key with
+    match Twig_tbl.find_opt cache.tbl twig with
     | Some (roots, trunc) ->
         Counters.incr c_hits;
         set_truncated trunc;
@@ -323,11 +320,11 @@ let embeddings_cached cache ?(max_alternatives = 64) syn twig =
            cache is thawed (single-owner phase); frozen-cache misses on
            worker domains enumerate without it *)
         let chains = if cache.frozen then None else Some cache.chains in
-        let roots = embeddings ?chains ~max_alternatives syn twig in
+        let roots = embeddings ?chains syn twig in
         if not cache.frozen then begin
           Mutex.lock cache.lock;
           if not cache.frozen then
-            Hashtbl.replace cache.tbl key (roots, last_truncated ());
+            Twig_tbl.replace cache.tbl twig (roots, last_truncated ());
           Mutex.unlock cache.lock
         end;
         roots
@@ -348,20 +345,3 @@ let visited_nodes roots =
 
 let rec size e =
   1 + List.fold_left (fun a alts -> List.fold_left (fun a k -> a + size k) a alts) 0 e.kids
-
-let pp syn ppf e =
-  let rec go indent e =
-    Format.fprintf ppf "%s%s (node %d)%s%s@." indent (G.tag_name syn e.snode)
-      e.snode
-      (if e.vpred <> None then " [vpred]" else "")
-      (if e.branches <> [] then
-         Printf.sprintf " [%d branch pred(s)]" (List.length e.branches)
-       else "");
-    List.iteri
-      (fun i alts ->
-        Format.fprintf ppf "%s kid %d (%d alternatives):@." indent i
-          (List.length alts);
-        List.iter (go (indent ^ "  ")) alts)
-      e.kids
-  in
-  go "" e

@@ -44,9 +44,13 @@ type enode = {
 
 type chains_memo
 (** Memo of per-step synopsis chain expansions, valid for one synopsis
-    graph. Owned by an embedding {!cache} (queries against one
-    synopsis share most of their step expansions); not constructible
-    directly. *)
+    graph: queries against one synopsis share most of their step
+    expansions. Owned by an embedding {!cache} or by an engine
+    session's plan table ({!Plan.cache}), and used by its owner's
+    domain only. *)
+
+val chains_memo : unit -> chains_memo
+(** An empty memo. *)
 
 val embeddings :
   ?chains:chains_memo ->
@@ -74,9 +78,14 @@ val last_truncated : unit -> bool
     Embeddings depend only on the synopsis {e graph} and the query —
     not on histograms — so every non-structural refinement candidate
     scored by XBUILD shares one enumeration. A cache is keyed to one
-    synopsis by physical identity; queries against any other synopsis
-    bypass it. Hits and misses are counted under [embed.cache_hits] /
-    [embed.cache_misses] in {!Xtwig_util.Counters}. *)
+    synopsis by physical identity (queries against any other synopsis
+    bypass it) and holds one entry per query under its exact identity
+    ({!Xtwig_path.Path_types.Twig_tbl}), enumerated with the default
+    [max_alternatives]. Hits and misses are counted under
+    [embed.cache_hits] / [embed.cache_misses] in
+    {!Xtwig_util.Counters}. Engine sessions keep no embedding cache:
+    their plan table drops a query's embeddings once its plans are
+    compiled. *)
 
 type cache
 
@@ -86,24 +95,17 @@ val cache_synopsis : cache -> Xtwig_synopsis.Graph_synopsis.t
 (** The synopsis the cache is keyed to. *)
 
 val freeze : cache -> unit
-(** Stop accepting insertions. The ownership rule for domain-parallel
-    callers (XBUILD's scoring fan-out, the estimation engine's batch
-    evaluation): exactly one domain warms the cache, freezes it, and
-    only then shares it — worker domains read it lock-free and never
-    insert. *)
+(** Stop accepting insertions. The ownership rule for XBUILD's
+    domain-parallel scoring fan-out: exactly one domain warms the
+    cache, freezes it, and only then shares it — worker domains read
+    it lock-free and never insert. *)
 
 val thaw : cache -> unit
 (** Re-enable insertions. Only the owning domain may thaw, and only
     while no other domain holds the cache. *)
 
-val cache_key : ?max_alternatives:int -> Xtwig_path.Path_types.twig -> string
-(** The string key a query enumerates under (also used by the
-    compiled-plan cache, so a query's embeddings and plans share one
-    identity). *)
-
 val embeddings_cached :
   cache ->
-  ?max_alternatives:int ->
   Xtwig_synopsis.Graph_synopsis.t ->
   Xtwig_path.Path_types.twig ->
   enode list
@@ -123,5 +125,3 @@ val visited_nodes : enode list -> int list
 val size : enode -> int
 (** Number of embedding nodes, counting each alternative (branch
     nodes excluded). *)
-
-val pp : Xtwig_synopsis.Graph_synopsis.t -> Format.formatter -> enode -> unit

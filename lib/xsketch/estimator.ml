@@ -291,14 +291,14 @@ let t_estimate = Xtwig_util.Counters.timer "estimator.ns"
    candidate by estimating every workload query once against it, so a
    compiled plan would almost never run twice. Only an engine session,
    which sees the same queries again and again, compiles ({!Plan}). *)
-let estimate ?max_alternatives ?cache sketch twig =
+let estimate ?cache sketch twig =
   Xtwig_obs.Trace.with_span ~name:"estimator.estimate" @@ fun () ->
   Xtwig_util.Counters.time t_estimate @@ fun () ->
   let syn = Sketch.synopsis sketch in
   let embs =
     match cache with
-    | Some c -> Embed.embeddings_cached c ?max_alternatives syn twig
-    | None -> Embed.embeddings ?max_alternatives syn twig
+    | Some c -> Embed.embeddings_cached c syn twig
+    | None -> Embed.embeddings syn twig
   in
   List.fold_left (fun acc e -> acc +. estimate_embedding sketch e) 0.0 embs
 

@@ -42,7 +42,6 @@ val estimate_embedding : Sketch.t -> Embed.enode -> float
     is bit-identical by construction. *)
 
 val estimate :
-  ?max_alternatives:int ->
   ?cache:Embed.cache ->
   Sketch.t ->
   Xtwig_path.Path_types.twig ->

@@ -23,7 +23,7 @@
    Byte-identity contract: [run] replays the recursive evaluator's
    float operations in the exact same order (fold orders, the
    [w' < 1e-9] pruning, the reverse-dimension context distance, the
-   renormalization in bucket order), so [run (compile sk e) =
+   renormalization in bucket order), so [run (compile_in cx e) =
    Estimator.estimate_embedding sk e] bit-for-bit. test/test_plan.ml
    holds this differentially across datasets, workloads and refinement
    budgets. *)
@@ -33,6 +33,7 @@ module Edge_hist = Xtwig_hist.Edge_hist
 module Counters = Xtwig_util.Counters
 module Trace = Xtwig_obs.Trace
 module A1 = Bigarray.Array1
+module Twig_tbl = Xtwig_path.Path_types.Twig_tbl
 open Embed
 
 let t_compile = Counters.timer "plan.compile_ns"
@@ -733,8 +734,6 @@ let compile_in cx (root : enode) : t =
     islab;
   }
 
-let compile sketch root = compile_in (context sketch) root
-
 (* ------------------------------------------------------------------ *)
 (* Interpreter: a zero-allocation flat kernel                          *)
 
@@ -1036,49 +1035,82 @@ let run_batch (ts : t array) (out : float array) : unit =
       t.root_const *. A1.unsafe_get ba (Array.unsafe_get t.nodes t.root).scr
   done
 
-
 let compile_roots sketch roots =
-  let cx = context sketch in
-  Array.of_list (List.map (compile_in cx) roots)
+  Array.of_list (List.map (compile_in (context sketch)) roots)
 
 (* ------------------------------------------------------------------ *)
-(* Session plan cache                                                  *)
+(* Session table                                                       *)
 
-(* One sketch's compiled plans, keyed by {!Embed.cache_key}: a query's
-   plans compile on its first lookup and are run as they are from then
-   on. The sketch is immutable, so an entry never goes stale; a new
-   sketch gets a new cache. Owned by one domain (the engine session's
-   owner), which is the only reader and writer; the plan arrays it
-   hands out are immutable and may be run on any domain. *)
+(* One entry per query under its exact identity: its plans (none for a
+   guarded query) and the guard facts. The sketch is immutable, so an
+   entry never goes stale; a new sketch gets a new table. Owned by one
+   domain (the engine session's owner), the only reader and writer;
+   the plan arrays it hands out are immutable and may be run on any
+   domain. *)
+type entry = { e_plans : t array; e_embeddings : int; e_nodes : int }
+
 type cache = {
-  c_sketch : Sketch.t;
-  c_plans : (string, t array) Hashtbl.t;
-  mutable c_cx : cctx option;  (* built by the first miss *)
+  c_cx : cctx;  (* its per-node arrays carry over between queries *)
+  c_max_embeddings : int;
+  c_max_nodes : int;
+  c_entries : entry Twig_tbl.t;
+  c_chains : Embed.chains_memo;
+  mutable c_pending : (Xtwig_path.Path_types.twig * enode list) option;
+      (* the enumeration of a query whose [plan.fill] raised *)
 }
 
-let create_cache sketch =
-  { c_sketch = sketch; c_plans = Hashtbl.create 64; c_cx = None }
+type found = { plans : t array; guarded : bool; compiled : bool; compile_ns : int }
 
-let find_or_compile c ~key roots =
-  match Hashtbl.find_opt c.c_plans key with
-  | Some plans ->
+let create_cache ~max_embeddings ~max_embed_nodes sketch =
+  {
+    c_cx = context sketch;
+    c_max_embeddings = max_embeddings;
+    c_max_nodes = max_embed_nodes;
+    c_entries = Twig_tbl.create 64;
+    c_chains = Embed.chains_memo ();
+    c_pending = None;
+  }
+
+let guarded c e = e.e_embeddings > c.c_max_embeddings || e.e_nodes > c.c_max_nodes
+
+let lookup c q =
+  match Twig_tbl.find_opt c.c_entries q with
+  | Some e ->
       Counters.incr c_hits;
-      (plans, false)
+      { plans = e.e_plans; guarded = guarded c e; compiled = false; compile_ns = 0 }
   | None ->
       Counters.incr c_misses;
-      (* the fill that chaos scenarios target; the engine retries it *)
-      Xtwig_fault.Fault.point "plan.fill";
-      (* the needs memo is keyed by embedding ids, unique only within
-         one enumeration, so each query starts a fresh one; the
-         per-node arrays carry over *)
-      let cx =
-        match c.c_cx with
-        | Some cx -> { cx with cx_needs = Hashtbl.create 64 }
-        | None ->
-            let cx = context c.c_sketch in
-            c.c_cx <- Some cx;
-            cx
+      let roots =
+        match c.c_pending with
+        | Some (q', roots) when Xtwig_path.Path_types.equal_twig q q' -> roots
+        | _ ->
+            (* the fills that chaos scenarios target; the engine
+               retries them *)
+            Xtwig_fault.Fault.point "embed.fill";
+            let roots = Embed.embeddings ~chains:c.c_chains c.c_cx.cx_syn q in
+            c.c_pending <- Some (q, roots);
+            roots
       in
-      let plans = Array.of_list (List.map (compile_in cx) roots) in
-      Hashtbl.replace c.c_plans key plans;
-      (plans, true)
+      let n = List.length roots in
+      let e_nodes =
+        if n > c.c_max_embeddings then 0
+        else List.fold_left (fun a e -> a + Embed.size e) 0 roots
+      in
+      let e = { e_plans = [||]; e_embeddings = n; e_nodes } in
+      let found =
+        if guarded c e then
+          { plans = [||]; guarded = true; compiled = false; compile_ns = 0 }
+        else begin
+          Xtwig_fault.Fault.point "plan.fill";
+          let t0 = Counters.now_ns () in
+          (* the needs memo is keyed by embedding ids, unique only
+             within one enumeration, so each query starts a fresh one *)
+          let cx = { c.c_cx with cx_needs = Hashtbl.create 64 } in
+          let plans = Array.of_list (List.map (compile_in cx) roots) in
+          let compile_ns = Int64.to_int (Int64.sub (Counters.now_ns ()) t0) in
+          { plans; guarded = false; compiled = true; compile_ns }
+        end
+      in
+      Twig_tbl.replace c.c_entries q { e with e_plans = found.plans };
+      c.c_pending <- None;
+      found

@@ -17,20 +17,17 @@
     estimate (XBUILD's candidate scoring, the optimizer's costing, the
     CLI) runs the recursive evaluator {!Estimator.estimate}.
 
-    {b Byte-identity:} [run (compile sk e)] replays the recursive
+    {b Byte-identity:} a plan compiled from [e] replays the recursive
     evaluator's floating-point operations in the exact same order, so
-    it equals [Estimator.estimate_embedding sk e] bit-for-bit. Held by
-    test/test_plan.ml. *)
+    its {!run} equals [Estimator.estimate_embedding sk e] bit-for-bit.
+    Held by test/test_plan.ml. *)
 
 type t
 
-val compile : Sketch.t -> Embed.enode -> t
-(** Compile one embedding against one sketch. Counted under
-    [plan.compiles], timed under [plan.compile_ns]. *)
-
 val compile_roots : Sketch.t -> Embed.enode list -> t array
-(** Compile every embedding of one query, in enumeration order,
-    sharing one compile context. *)
+(** Compile every embedding of one query against one sketch, in
+    enumeration order, sharing one compile context. Each plan is
+    counted under [plan.compiles] and timed under [plan.compile_ns]. *)
 
 val run : t -> float
 (** Evaluate a compiled plan (the estimate of its embedding). Counted
@@ -44,24 +41,39 @@ val run_batch : t array -> float array -> unit
     entry point ([Invalid_argument] when [out] is shorter than
     [ts]). *)
 
-(** {1 Session plan cache}
+(** {1 Session table}
 
-    One sketch's compiled plans, keyed by {!Embed.cache_key}. A query
-    compiles on its first lookup and its plans are run as they are
-    from then on: the sketch is immutable, so no entry ever needs
-    revalidating, and a session that swaps its sketch starts a new
-    cache. The cache has a single owner (the engine session's owning
-    domain), which does every lookup; the returned plans are immutable
-    and may be run on any domain. *)
+    An engine session's one table: an entry per query under its exact
+    identity ({!Xtwig_path.Path_types.Twig_tbl}) holding the query's
+    plans (none for a guarded query) and its guard facts (embedding
+    count, embedding node count). A query compiles on its first lookup
+    and its plans run as they are from then on: the sketch is
+    immutable, so no entry is ever revalidated, and a new sketch gets
+    a new table. Embeddings are dropped once compiled, so a warm
+    lookup is one hash and one equality check. The owner domain does
+    every lookup; the returned plans are immutable and may be run on
+    any domain. *)
 
 type cache
 
-val create_cache : Sketch.t -> cache
+val create_cache :
+  max_embeddings:int -> max_embed_nodes:int -> Sketch.t -> cache
+(** An empty table over one sketch. A query with more than
+    [max_embeddings] embeddings or [max_embed_nodes] embedding nodes
+    (every alternative counted) is guarded: it compiles nothing. *)
 
-val find_or_compile : cache -> key:string -> Embed.enode list -> t array * bool
-(** The plans of one query ([key] is its {!Embed.cache_key}, [roots]
-    its embeddings for the cache's sketch), and whether this lookup
-    compiled them. A hit counts under [plan.cache_hits]; a miss counts
-    under [plan.cache_misses], passes the [plan.fill] fault point, and
-    compiles every root. A miss that raises leaves the cache as it
-    was. *)
+type found = {
+  plans : t array;  (** one per embedding, in enumeration order *)
+  guarded : bool;  (** the query exceeds a guard; [plans] is empty *)
+  compiled : bool;  (** this lookup compiled [plans] *)
+  compile_ns : int;  (** monotonic nanoseconds this lookup compiled for *)
+}
+
+val lookup : cache -> Xtwig_path.Path_types.twig -> found
+(** The query's entry, filled on its first sighting. A hit counts
+    under [plan.cache_hits] and does nothing else. A miss counts under
+    [plan.cache_misses], passes the [embed.fill] fault point,
+    enumerates with the table's chains memo and checks the guards; an
+    unguarded query then passes [plan.fill] and compiles every root.
+    A miss that raises stores nothing, and after a raising [plan.fill]
+    the retried lookup of the same query reuses its enumeration. *)

@@ -3,6 +3,7 @@ module Stats = Xtwig_util.Stats
 module Counters = Xtwig_util.Counters
 module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
+module Twig_tbl = Xtwig_path.Path_types.Twig_tbl
 
 let c_steps = Counters.counter "xbuild.steps"
 let c_candidates = Counters.counter "xbuild.candidates_scored"
@@ -72,6 +73,16 @@ let workload_error sketch ~truth queries =
       let truths = Array.of_list (List.map truth queries) in
       error_of ~truths ~sanity:(sanity_floor truths)
         (Array.of_list (List.map (Estimator.estimate sketch) queries))
+
+let memo_truth doc =
+  let tbl = Twig_tbl.create 256 in
+  fun q ->
+    match Twig_tbl.find_opt tbl q with
+    | Some v -> v
+    | None ->
+        let v = float_of_int (Xtwig_eval.Eval_twig.selectivity doc q) in
+        Twig_tbl.add tbl q v;
+        v
 
 (* A scored candidate. [ests] holds its estimate of every scoring
    query (the base estimate where it was provably unchanged);

@@ -73,3 +73,9 @@ val workload_error :
   Xtwig_path.Path_types.twig list -> float
 (** Average absolute relative error with the paper's sanity bound (the
     10th percentile of the true counts of the evaluated workload). *)
+
+val memo_truth : Xtwig_xml.Doc.t -> Xtwig_path.Path_types.twig -> float
+(** The exact oracle for [truth]: {!Xtwig_eval.Eval_twig.selectivity}
+    over the document, memoized per exact twig, so repeated refinement
+    scoring pays one evaluation per query. Not thread-safe: {!build}
+    calls [truth] on its calling domain only. *)

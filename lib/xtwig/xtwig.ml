@@ -52,13 +52,13 @@ let value_histogram sk label =
   |> Option.map snd
 
 (* Costing memo: one table of structural estimates per sketch, keyed
-   by sub-twig text. A sketch is immutable, so an estimate depends only
-   on the sketch and the twig. The tables hang off an ephemeron keyed on
-   the sketch's identity, so a dropped or replaced sketch frees its
-   memo; one lock guards the ephemeron and every table (planning may
-   run on several domains), and a table that reaches [memo_cap] entries
-   is cleared. An estimate that raises is not stored, and planning
-   degrades exactly as without the memo. *)
+   by exact sub-twig identity. A sketch is immutable, so an estimate
+   depends only on the sketch and the twig. The tables hang off an
+   ephemeron keyed on the sketch's identity, so a dropped or replaced
+   sketch frees its memo; one lock guards the ephemeron and every table
+   (planning may run on several domains), and a table that reaches
+   [memo_cap] entries is cleared. An estimate that raises is not
+   stored, and planning degrades exactly as without the memo. *)
 module Sketch_memo = Ephemeron.K1.Make (struct
   type t = sketch
 
@@ -67,7 +67,9 @@ module Sketch_memo = Ephemeron.K1.Make (struct
 end)
 
 let memo_cap = 4096
-let memos : (string, float) Hashtbl.t Sketch_memo.t = Sketch_memo.create 8
+module Twig_tbl = Xtwig_path.Path_types.Twig_tbl
+
+let memos : float Twig_tbl.t Sketch_memo.t = Sketch_memo.create 8
 let memo_lock = Mutex.create ()
 
 let m_memo_hits =
@@ -82,15 +84,14 @@ let memo_table sk =
   match Sketch_memo.find_opt memos sk with
   | Some tbl -> tbl
   | None ->
-      let tbl = Hashtbl.create 256 in
+      let tbl = Twig_tbl.create 256 in
       Sketch_memo.replace memos sk tbl;
       tbl
 
 let memo_estimate sk =
   let inst = Backend.of_sketch sk in
   fun q ->
-    let key = twig_to_string q in
-    match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt (memo_table sk) key) with
+    match Mutex.protect memo_lock (fun () -> Twig_tbl.find_opt (memo_table sk) q) with
     | Some v ->
         Xtwig_obs.Metrics.incr m_memo_hits;
         v
@@ -99,8 +100,8 @@ let memo_estimate sk =
         let v = Backend.estimate inst q in
         Mutex.protect memo_lock (fun () ->
             let tbl = memo_table sk in
-            if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
-            Hashtbl.replace tbl key v);
+            if Twig_tbl.length tbl >= memo_cap then Twig_tbl.reset tbl;
+            Twig_tbl.replace tbl q v);
         v
 
 let optimize sk q =
@@ -113,25 +114,12 @@ let selectivity_ordered doc plan q =
 
 (* ---------------- XSKETCH synopses ---------------- *)
 
-(* XBUILD needs ground truth for its workload queries; memoize it so
-   repeated refinement scoring pays one evaluation per query. *)
-let memo_truth doc =
-  let tbl = Hashtbl.create 256 in
-  fun q ->
-    let k = twig_to_string q in
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = float_of_int (selectivity doc q) in
-        Hashtbl.add tbl k v;
-        v
-
 let build_sketch ?(budget = 8192) ?(seed = 42) ?candidates ?max_steps
     ?(jobs = 1) ?on_step doc =
   if budget < 1 then Error (Xerror.Usage "budget must be >= 1")
   else if jobs < 1 then Error (Xerror.Usage "jobs must be >= 1")
   else
-    let truth = memo_truth doc in
+    let truth = Xtwig_sketch.Xbuild.memo_truth doc in
     let workload prng ~focus =
       Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
     in
@@ -192,7 +180,6 @@ let open_backend_session ?name ?jobs ?timeout_s ?retries ?backoff_s
 let update_session = Engine.update
 let estimate = Engine.estimate
 let estimate_batch = Engine.estimate_batch
-let explain = Engine.explain
 let close_session = Engine.close
 
 (* ---------------- observability ---------------- *)

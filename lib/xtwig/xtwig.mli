@@ -83,7 +83,8 @@ val optimize : sketch -> twig -> Opt.plan
     costing.
 
     The structural estimates of the stripped sub-twigs go through one
-    memo per sketch, keyed by sub-twig text: a sketch is immutable, so
+    memo per sketch, keyed by exact sub-twig identity
+    ({!Xtwig_path.Path_types.Twig_tbl}): a sketch is immutable, so
     a repeated sub-twig costs a table lookup instead of an embedding
     enumeration and a recursive evaluation ({!Xtwig_sketch.Estimator.estimate}
     through {!Backend}; costing compiles no plans), and plans are
@@ -150,9 +151,9 @@ val update_sketch : ?reuse:bool -> sketch -> delta -> (sketch, Xerror.t) result
 
 val update_session : Engine.t -> delta -> (unit, Xerror.t) result
 (** {!update_sketch} inside a live session: swaps the maintained
-    sketch in, rebuilds the coarse fallback, and starts fresh
-    embedding and plan caches, so each query compiles again on its
-    first sighting. Owner-domain only, between batches — see
+    sketch in, rebuilds the coarse fallback, and starts a fresh
+    session table, so each query compiles again on its first
+    sighting. Owner-domain only, between batches — see
     {!Engine.update}. *)
 
 val save_sketch :
@@ -198,9 +199,9 @@ val open_sketch_session :
   ?breaker_cooldown_s:float ->
   sketch ->
   (Engine.t, Xerror.t) result
-(** The compiled XSKETCH path (plan cache, embedding cache, pool
-    fan-out). [name] labels the session's metrics with a [tenant]
-    label — see {!Engine.of_sketch}. *)
+(** The compiled XSKETCH path (one session table of compiled plans
+    keyed by exact twig, pool fan-out). [name] labels the session's
+    metrics with a [tenant] label — see {!Engine.of_sketch}. *)
 
 val open_backend_session :
   ?name:string ->
@@ -216,7 +217,15 @@ val open_backend_session :
     {!Engine.of_backend}. *)
 
 val estimate :
-  ?timeout_s:float -> Engine.t -> twig -> (Engine.answer, Xerror.t) result
+  ?timeout_s:float ->
+  ?trace_id:int ->
+  Engine.t ->
+  twig ->
+  (Engine.answer, Xerror.t) result
+(** One query's estimate with its provenance ({!Engine.provenance}:
+    plan tier — [cache_hit] when the session had the query's plans,
+    [fresh_compile] when this request compiled them, [backend] on a
+    backend session — embedding count, compile and run time). *)
 
 val estimate_batch :
   ?timeout_s:float ->
@@ -227,17 +236,6 @@ val estimate_batch :
 (** Never raises; answers in query order. [trace_id] propagates a
     client-supplied trace context into the batch's spans. See
     {!Engine.estimate_batch}. *)
-
-val explain :
-  ?timeout_s:float ->
-  ?trace_id:int ->
-  Engine.t ->
-  twig ->
-  (Engine.provenance, Xerror.t) result
-(** One query's estimate with its provenance — backend, plan tier
-    ([cache_hit] when the session had the query's plans, [fresh_compile]
-    when this request compiled them, [backend] on a backend session),
-    embedding count, retries, fallback reason. See {!Engine.explain}. *)
 
 val close_session : Engine.t -> unit
 

@@ -150,7 +150,7 @@ let test_batch_trace_ids_and_spans () =
   Alcotest.(check bool) "batch span present" true
     (contains "engine.estimate_batch" js)
 
-(* [explain]'s tier is what its own plan-cache lookup saw: session A
+(* An answer's tier is what its own table lookup saw: session A
    explains an already-compiled query over and over on this domain
    while session B, on another domain, compiles distinct cold queries
    without pause (each round opens a fresh session, so every query is
@@ -168,7 +168,9 @@ let test_explain_tier_is_per_session () =
   let warm, cold = (List.hd pool, List.tl pool) in
   let a = get (Engine.of_sketch sk) in
   Fun.protect ~finally:(fun () -> Engine.close a) @@ fun () ->
-  let tier () = Engine.tier_label (get (Engine.explain a warm)).Engine.pv_tier in
+  let tier () =
+    Engine.tier_label (get (Engine.estimate a warm)).Engine.provenance.Engine.pv_tier
+  in
   Alcotest.(check string) "first sighting compiles" "fresh_compile" (tier ());
   let started = Atomic.make false and stop = Atomic.make false in
   let b_estimates = Atomic.make 0 and b_done = Atomic.make false in
@@ -216,6 +218,44 @@ let test_explain_tier_is_per_session () =
     (fun i t -> Alcotest.(check string) (Printf.sprintf "explain %d" i) "cache_hit" t)
     tiers
 
+(* Twin queries: each pair differs only past the sixth significant
+   digit of a range bound, so the two print to the same text under
+   [%.6g]. A session that keyed its plans by printed text served the
+   second twin the first one's plans. Every answer of one session must
+   be bit-equal to the recursive evaluator's. *)
+let twins =
+  [
+    ( "for t0 in //movie, t1 in t0/year[. in 1980.1 .. 1990]",
+      "for t0 in //movie, t1 in t0/year[. in 1980.1000001 .. 1990]" );
+    ( "for t0 in //movie, t1 in t0/box_office[. in 306046000 .. 345046000]",
+      "for t0 in //movie, t1 in t0/box_office[. in 306046400 .. 345046000]" );
+  ]
+
+let imdb05 = lazy (Xtwig_datagen.Imdb.generate ~scale:0.05 ())
+
+let check_twins label sk =
+  let eng = get (Engine.of_sketch sk) in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  List.iter
+    (fun (a, b) ->
+      List.iter
+        (fun text ->
+          let q = get (Xtwig_path.Path_parser.parse_twig_res text) in
+          let served = (get (Engine.estimate eng q)).Engine.estimate in
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: %s" label text)
+            (Int64.bits_of_float (Est.estimate sk q))
+            (Int64.bits_of_float served))
+        [ a; b; a; b ])
+    twins
+
+let test_twin_keys_coarsest () =
+  check_twins "coarsest" (Sketch.default_of_doc (Lazy.force imdb05))
+
+let test_twin_keys_xbuild () =
+  check_twins "xbuild"
+    (get (Xtwig.build_sketch ~budget:16_000 ~seed:7 (Lazy.force imdb05)))
+
 let () =
   Alcotest.run "engine_obs"
     [
@@ -229,5 +269,12 @@ let () =
             test_batch_trace_ids_and_spans;
           Alcotest.test_case "explain tier is per session across domains"
             `Quick test_explain_tier_is_per_session;
+        ] );
+      ( "exact session keys",
+        [
+          Alcotest.test_case "twin queries on the coarsest sketch" `Quick
+            test_twin_keys_coarsest;
+          Alcotest.test_case "twin queries on the XBUILD sketch" `Quick
+            test_twin_keys_xbuild;
         ] );
     ]

@@ -324,6 +324,28 @@ let test_guard_degrades =
         answers;
       Alcotest.(check int) "degraded counted" 4 (Engine.stats eng).Engine.degraded)
 
+(* a session miss passes both fill points, embedding first: with each
+   point failing its first arrival in every query's scope, every query
+   fires both, retries twice and still answers exactly *)
+let test_both_fill_points_fire =
+  protecting @@ fun () ->
+  warm ();
+  let qs = List.sort_uniq compare (queries 6) in
+  let expected = List.map (Xtwig_sketch.Estimator.estimate (Lazy.force sk)) qs in
+  Fault.install (spec "embed.fill:n1;plan.fill:n1");
+  let answers = get (run_batch ~retries:2 qs) in
+  List.iter2
+    (fun e (a : Engine.answer) ->
+      Alcotest.(check bool) "answered" false a.Engine.fallback;
+      Alcotest.(check int) "two retries" 2 a.Engine.retries;
+      Alcotest.(check (float 0.0)) "exact" e a.Engine.estimate)
+    expected answers;
+  let fired point =
+    List.length (List.filter (fun (p, _, _) -> p = point) (Fault.log ()))
+  in
+  Alcotest.(check int) "embed.fill per query" (List.length qs) (fired "embed.fill");
+  Alcotest.(check int) "plan.fill per query" (List.length qs) (fired "plan.fill")
+
 (* the tentpole property: estimate_batch never raises, under ANY
    scenario the generator can produce — including pool.task storms and
    100% failure rates on every engine-path point *)
@@ -502,6 +524,8 @@ let () =
             test_breaker_trips_and_recovers;
           Alcotest.test_case "cardinality guard degrades" `Quick
             test_guard_degrades;
+          Alcotest.test_case "both fill points fire on session misses" `Quick
+            test_both_fill_points_fire;
           QCheck_alcotest.to_alcotest prop_engine_never_raises;
           Alcotest.test_case "XTWIG_FAULT_SPEC chaos (fault matrix)" `Quick
             test_env_scenario;

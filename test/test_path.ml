@@ -175,6 +175,103 @@ let prop_size_positive =
     (fun t ->
       twig_size t = twig_fold t ~init:0 ~f:(fun a _ -> a + 1) && twig_size t >= 1)
 
+(* ---------------- exact identity ---------------- *)
+
+(* [twig] with its [n]-th float constant (pre-order) mapped by [f], and
+   the number of float constants it holds; [n < 0] maps none *)
+let map_nth_float n f t =
+  let i = ref 0 in
+  let g x =
+    let x' = if !i = n then f x else x in
+    incr i;
+    x'
+  in
+  let vpred = function
+    | Range (lo, hi) ->
+        let lo = g lo in
+        let hi = g hi in
+        Range (lo, hi)
+    | Cmp (op, Xtwig_xml.Value.Float x) -> Cmp (op, Float (g x))
+    | Cmp _ as c -> c
+  in
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  let rec step s =
+    let vpred = Option.map vpred s.vpred in
+    let branches = List.map path s.branches in
+    { s with label = copy s.label; vpred; branches }
+  and path p = List.map step p in
+  let rec twig t =
+    let path = path t.path in
+    { path; subs = List.map twig t.subs }
+  in
+  let t' = twig t in
+  (t', !i)
+
+(* a deep copy: fresh nodes, strings and float boxes throughout *)
+let deep_copy t = fst (map_nth_float (-1) Fun.id t)
+
+(* Testgen's free-standing twigs and twigs grown in documents (value
+   predicates from element values, branching predicates) *)
+let gen_any_twig =
+  QCheck2.Gen.(
+    oneof [ gen_twig 2; Xtwig_testgen.Testgen.doc >>= Xtwig_testgen.Testgen.twig_in ])
+
+let prop_equal_implies_hash =
+  QCheck2.Test.make ~name:"equal_twig implies equal hash_twig" ~count:300
+    QCheck2.Gen.(pair gen_any_twig gen_any_twig)
+    (fun (a, b) ->
+      let c = deep_copy a in
+      equal_twig a c
+      && hash_twig a = hash_twig c
+      && ((not (equal_twig a b)) || hash_twig a = hash_twig b))
+
+let prop_deep_copy_equal =
+  QCheck2.Test.make ~name:"a deep copy is equal" ~count:300 gen_any_twig (fun t ->
+      let c = deep_copy t in
+      c != t && equal_twig t c && equal_twig c t)
+
+let prop_float_succ_unequal =
+  QCheck2.Test.make ~name:"moving one float constant by Float.succ makes it unequal"
+    ~count:300 gen_any_twig (fun t ->
+      let _, n = map_nth_float (-1) Fun.id t in
+      List.for_all
+        (fun k ->
+          let t', _ = map_nth_float k Float.succ t in
+          (not (equal_twig t t')) && not (equal_twig t' t))
+        (List.init n Fun.id))
+
+(* printed text is not an identity: [%.6g] maps both twins to one
+   string, the exact key tells them apart, and so does the hash *)
+let test_twins_differ () =
+  List.iter
+    (fun (a, b) ->
+      let ta = twig_of_string a and tb = twig_of_string b in
+      Alcotest.(check string)
+        ("same printed text: " ^ a)
+        (Printer.twig_to_string ta) (Printer.twig_to_string tb);
+      Alcotest.(check bool) ("unequal: " ^ b) false (equal_twig ta tb);
+      Alcotest.(check bool) ("hashes differ: " ^ b) true (hash_twig ta <> hash_twig tb);
+      let tbl = Twig_tbl.create 4 in
+      Twig_tbl.replace tbl ta 1;
+      Twig_tbl.replace tbl tb 2;
+      Alcotest.(check (option int)) "first twin keeps its entry" (Some 1)
+        (Twig_tbl.find_opt tbl (twig_of_string a)))
+    [
+      ( "for t0 in //movie, t1 in t0/year[. in 1980.1 .. 1990]",
+        "for t0 in //movie, t1 in t0/year[. in 1980.1000001 .. 1990]" );
+      ( "for t0 in //movie, t1 in t0/box_office[. in 306046000 .. 345046000]",
+        "for t0 in //movie, t1 in t0/box_office[. in 306046400 .. 345046000]" );
+    ]
+
+let test_signed_zero_differs () =
+  let t lo = twig [ step ~vpred:(Range (lo, 1.0)) "a" ] [] in
+  Alcotest.(check bool) "0.0 = 0.0" true (equal_twig (t 0.0) (t 0.0));
+  Alcotest.(check bool) "-0.0 <> 0.0" false (equal_twig (t (-0.0)) (t 0.0));
+  Alcotest.(check bool) "Text compares by content" true
+    (equal_twig
+       (twig [ step ~vpred:(Cmp (Eq, Text "ab")) "a" ] [])
+       (twig [ step ~vpred:(Cmp (Eq, Text ("a" ^ "b"))) "a" ] []))
+
 let () =
   Alcotest.run "pathlang"
     [
@@ -208,4 +305,13 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_twig_roundtrip; prop_path_roundtrip; prop_size_positive ] );
+      ( "exact identity",
+        [
+          Alcotest.test_case "printed twins differ" `Quick test_twins_differ;
+          Alcotest.test_case "signed zero, text" `Quick test_signed_zero_differs;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_equal_implies_hash; prop_deep_copy_equal; prop_float_succ_unequal;
+            ] );
     ]

@@ -159,6 +159,13 @@ let prop_answer_bitwise =
           retries = 0;
           elapsed_s = 0.0;
           trace_id = 0;
+          provenance =
+            {
+              Engine.pv_tier = Engine.Cache_hit;
+              pv_embeddings = 0;
+              pv_compile_ns = 0;
+              pv_run_ns = 0;
+            };
         }
       in
       match P.decode_answer (P.encode_answer a) with
@@ -543,6 +550,71 @@ let test_explain_cold_vs_cached () =
         (Some (List.hd (direct_answers c.sk_a [ q ])))
         (P.provenance_field body1 "answer"))
 
+(* Twin queries print to one text under [%.6g] but differ in a range
+   bound. One served session answers each pair in turn, over the
+   estimate and the explain verbs, and every answer must be bit-equal
+   to the recursive evaluator on the tenant's sketch. *)
+let twins =
+  [
+    "for t0 in //movie, t1 in t0/year[. in 1980.1 .. 1990]";
+    "for t0 in //movie, t1 in t0/year[. in 1980.1000001 .. 1990]";
+    "for t0 in //movie, t1 in t0/box_office[. in 306046000 .. 345046000]";
+    "for t0 in //movie, t1 in t0/box_office[. in 306046400 .. 345046000]";
+  ]
+
+let test_twin_queries_served_exactly () =
+  let doc = Xtwig_datagen.Imdb.generate ~scale:0.05 () in
+  let doc_path = temp_path ".xml" in
+  ok_exn (Xtwig.doc_to_file doc_path doc);
+  let sketches =
+    [
+      ("coarsest", Xtwig_sketch.Sketch.default_of_doc doc);
+      ("xbuild", ok_exn (Xtwig.build_sketch ~budget:16_000 ~seed:7 doc));
+    ]
+    |> List.map (fun (name, sk) ->
+           let path = temp_path ".sketch" in
+           ok_exn (Xtwig.save_sketch sk path);
+           (name, path))
+  in
+  with_server
+    (List.map
+       (fun (name, path) -> (name, Catalog.source ~sketch_path:path doc_path))
+       sketches)
+    (fun client ->
+      let id = ref 0 in
+      List.iter
+        (fun (tenant, path) ->
+          let sk = ok_exn (Xtwig.load_sketch doc path) in
+          List.iter
+            (fun q ->
+              let expected =
+                Xtwig_sketch.Estimator.estimate sk (ok_exn (Xtwig.twig_of_string q))
+              in
+              incr id;
+              let body =
+                call_ok client ~id:!id
+                  (P.Batch { tenant; queries = [ q ]; trace = None })
+              in
+              incr id;
+              let explained =
+                call_ok client ~id:!id (P.Explain { tenant; query = q; trace = None })
+              in
+              List.iter
+                (fun (verb, line) ->
+                  match P.decode_answer line with
+                  | Ok w ->
+                      Alcotest.(check int64)
+                        (Printf.sprintf "%s %s: %s" tenant verb q)
+                        (Int64.bits_of_float expected)
+                        (Int64.bits_of_float w.P.estimate)
+                  | Error e -> Alcotest.failf "bad answer %S: %s" line e)
+                [
+                  ("estimate", body);
+                  ("explain", Option.get (P.provenance_field explained "answer"));
+                ])
+            (twins @ twins))
+        sketches)
+
 (* a client-supplied trace id must reach the serving-layer spans and
    the engine's spans: one trace file, one id, both halves *)
 let test_trace_propagation () =
@@ -677,6 +749,8 @@ let () =
             test_overload_sheds_typed;
           Alcotest.test_case "explain: cold vs cached tier" `Quick
             test_explain_cold_vs_cached;
+          Alcotest.test_case "twin queries served exactly" `Quick
+            test_twin_queries_served_exactly;
           Alcotest.test_case "update over the wire" `Quick
             test_update_over_the_wire;
           Alcotest.test_case "update failure keeps serving" `Quick
