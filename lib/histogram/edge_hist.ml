@@ -24,10 +24,11 @@ type t = {
   dims : int;
   buckets : bucket list;
   exact : bool;
-  (* lazily-computed flat table; the benign race (two domains computing
-     it concurrently) publishes one of two equal tables, so at worst
-     the computation is duplicated *)
-  mutable tbl : table option;
+  (* the flat table, computed on first use and published through the
+     atomic, whose store orders the table's array writes before it for
+     a reader on another domain; two domains computing it at once
+     publish one of two equal tables *)
+  tbl : table option Atomic.t;
 }
 
 (* A cell groups points during construction. *)
@@ -104,7 +105,7 @@ let build ?(budget = 32) dist =
   let dims = Sparse_dist.dims dist in
   let total = Sparse_dist.total dist in
   let points = Sparse_dist.points dist in
-  if total = 0 then { dims; buckets = []; exact = true; tbl = None }
+  if total = 0 then { dims; buckets = []; exact = true; tbl = Atomic.make None }
   else begin
     let cells = ref [ cell_of_points points ] in
     let n_cells = ref 1 in
@@ -133,7 +134,7 @@ let build ?(budget = 32) dist =
     done;
     let buckets = List.map (bucket_of_cell dims total) !cells in
     let exact = List.for_all (fun c -> List.length c.pts = 1) !cells in
-    { dims; buckets; exact; tbl = None }
+    { dims; buckets; exact; tbl = Atomic.make None }
   end
 
 let exact dist = build ~budget:max_int dist
@@ -193,7 +194,7 @@ let p_ge1 b d =
 (* Hash-consed flat tables                                             *)
 
 let table t =
-  match t.tbl with
+  match Atomic.get t.tbl with
   | Some tb -> tb
   | None ->
       let n = List.length t.buckets in
@@ -216,7 +217,7 @@ let table t =
           done)
         t.buckets;
       let tb = { tdims = k; tn = n; tfrac; tmean; tp1; tlo; thi } in
-      t.tbl <- Some tb;
+      Atomic.set t.tbl (Some tb);
       tb
 
 let marginal_frac t ~ctx =

@@ -11,9 +11,11 @@
       one child in [v].
 
     The synopsis is a value: refinement operations return new
-    synopses. All derived structure (extents, edges, stabilities) is
-    recomputed from the canonical partition array, which keeps the
-    split operations trivially correct. *)
+    synopses. {!of_partition} derives all structure (extents, edges,
+    stabilities) from an element-to-group array in one document pass;
+    {!split} derives it from its input, sharing what the split leaves
+    untouched, and yields exactly what [of_partition] would give for
+    the refined partition. *)
 
 type edge = {
   src : int;
@@ -42,16 +44,6 @@ val label_split : Xtwig_xml.Doc.t -> t
 val perfect : Xtwig_xml.Doc.t -> t
 (** One synopsis node per document element — the zero-error reference
     summary (exponentially large; tests only). *)
-
-val stabilize_fixpoint : ?max_rounds:int -> t -> t
-(** Repeatedly applies b-stabilize / f-stabilize splits until every
-    edge is both backward and forward stable (or [max_rounds], default
-    100, is hit). On such a synopsis every edge is scope-eligible for
-    full-information histograms, which makes it the natural reference
-    summary: exact histograms over it estimate structure-only twigs
-    with zero error. Can grow large on irregular documents — meant for
-    tests and reference-summary construction, not for budgeted
-    synopses. *)
 
 (** {1 Accessors} *)
 
@@ -95,18 +87,31 @@ val split : t -> node:int -> group_of:(int -> int) -> t
 (** [split t ~node ~group_of] partitions [node]'s extent by
     [group_of] (arbitrary small non-negative group keys). If only one
     group is non-empty the synopsis is returned unchanged (physically
-    equal). Node ids are {e not} stable across a split — the result is
-    renumbered densely; callers that track per-node state should remap
-    it through the extents (every new node's extent is a subset of
-    exactly one old node's extent, splits being refinements). *)
+    equal). Otherwise the result equals [of_partition] of the refined
+    partition, field for field, so nodes stay numbered by their first
+    element:
 
-val b_stabilize_groups : t -> dst:int -> int -> int
-(** Grouping function for the b-stabilize refinement on edge
-    [src -> dst]: [b_stabilize_groups t ~dst] maps each element of
-    [dst] to the synopsis node of its parent, so splitting separates
-    elements by parent node and every resulting incoming edge is
-    B-stable. (Returns the parent node id as the group key; the
-    document root maps to a reserved fresh key.) *)
+    - the group holding [node]'s first element keeps [node]'s id;
+    - every other node moves up by the number of new groups whose
+      first element precedes its own (the other groups take the ids
+      in between, in first-element order);
+    - every node outside [node] keeps its extent array physically
+      ([extent (split t ..) v' == extent t v]), which is how callers
+      map per-node state across the split: a new node whose extent is
+      [==] to an old node's is that node, and the remaining new nodes
+      are [node]'s images.
+
+    Only the images' out-edges and those of the sources with an edge
+    into [node] are tallied again; the work is proportional to that
+    neighbourhood plus one pass over the element-to-node array. *)
+
+val b_stabilize_groups : t -> int -> int
+(** Grouping function for the b-stabilize refinement on an edge into
+    the split node: [b_stabilize_groups t] maps each element to the
+    synopsis node of its parent, so splitting separates elements by
+    parent node and every resulting incoming edge is B-stable.
+    (Returns the parent node id as the group key; the document root
+    maps to a reserved fresh key.) *)
 
 val f_stabilize_groups : t -> dst:int -> int -> int
 (** Grouping function for the f-stabilize refinement on edge

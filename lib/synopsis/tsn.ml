@@ -1,16 +1,14 @@
 module G = Graph_synopsis
 
+(* chains are short: the chain so far is the visited set *)
 let b_stable_ancestors syn n =
-  let visited = Hashtbl.create 8 in
   let rec up cur acc =
-    if Hashtbl.mem visited cur then List.rev acc
-    else begin
-      Hashtbl.add visited cur ();
+    if List.mem cur acc then List.rev acc
+    else
       let acc = cur :: acc in
       match List.find_opt (fun (e : G.edge) -> e.b_stable) (G.in_edges syn cur) with
       | Some e -> up e.src acc
       | None -> List.rev acc
-    end
   in
   up n []
 

@@ -17,48 +17,41 @@ type op =
 (* Remap a histogram configuration onto a synopsis obtained by
    splitting: every new node inherits the spec of the old node its
    extent came from, with each old dimension expanded to all new edges
-   between the split images of its endpoints. *)
+   between the split images of its endpoints. Only the split node has
+   more than one image, so most dimensions map through the id shift to
+   one candidate edge. *)
 let remap_config old_syn (cfg : Sketch.config) new_syn : Sketch.config =
   let n_new = G.node_count new_syn in
   let old_of_new =
-    Array.init n_new (fun n' ->
-        let ext = G.extent new_syn n' in
-        G.node_of_elem old_syn ext.(0))
+    Array.init n_new (fun n' -> G.node_of_elem old_syn (G.extent new_syn n').(0))
   in
-  (* images of each old node *)
-  let images = Hashtbl.create 64 in
-  Array.iteri
-    (fun n' o ->
-      Hashtbl.replace images o (n' :: Option.value ~default:[] (Hashtbl.find_opt images o)))
-    old_of_new;
-  let images o = Option.value ~default:[] (Hashtbl.find_opt images o) in
+  let images = Array.make (G.node_count old_syn) [] in
+  Array.iteri (fun n' o -> images.(o) <- n' :: images.(o)) old_of_new;
+  (* a dimension naming no node of [old_syn] has no image *)
+  let images o = if o >= 0 && o < Array.length images then images.(o) else [] in
+  let dim_images n' (d : Sketch.dim) =
+    let keep s t =
+      match G.edge new_syn ~src:s ~dst:t with
+      | Some _ -> Some { d with Sketch.src = s; dst = t }
+      | None -> None
+    in
+    let srcs = if d.kind = Sketch.Forward then [ n' ] else images d.src in
+    match (srcs, images d.dst) with
+    | [ s ], [ t ] -> Option.to_list (keep s t)
+    | srcs, dsts -> List.concat_map (fun s -> List.filter_map (keep s) dsts) srcs
+  in
   let especs =
     Array.init n_new (fun n' ->
-        let o = old_of_new.(n') in
         List.map
           (fun (spec : Sketch.hist_spec) ->
             let dims =
-              List.concat_map
-                (fun (d : Sketch.dim) ->
-                  let srcs = if d.kind = Sketch.Forward then [ n' ] else images d.src in
-                  List.concat_map
-                    (fun s ->
-                      List.filter_map
-                        (fun t ->
-                          match G.edge new_syn ~src:s ~dst:t with
-                          | Some _ -> Some { d with Sketch.src = s; dst = t }
-                          | None -> None)
-                        (images d.dst))
-                    srcs
-                )
-                spec.dims
-              |> List.sort_uniq compare
+              List.concat_map (dim_images n') spec.dims |> List.sort_uniq compare
             in
             (* a split can multiply one dimension into several; keep the
                spec's joint dimensionality bounded *)
             let dims = List.filteri (fun i _ -> i < 6) dims in
             { spec with Sketch.dims })
-          cfg.especs.(o))
+          cfg.especs.(old_of_new.(n')))
   in
   let vbudgets = Array.init n_new (fun n' -> cfg.vbudgets.(old_of_new.(n'))) in
   { Sketch.especs; vbudgets }
@@ -86,7 +79,7 @@ let apply sketch op =
   let cfg = Sketch.config sketch in
   match op with
   | B_stabilize { src = _; dst } ->
-      let syn' = G.split syn ~node:dst ~group_of:(G.b_stabilize_groups syn ~dst) in
+      let syn' = G.split syn ~node:dst ~group_of:(G.b_stabilize_groups syn) in
       if syn' == syn then sketch
       else Sketch.build ~prev:sketch syn' (remap_config syn cfg syn')
   | F_stabilize { src; dst } ->

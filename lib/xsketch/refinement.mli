@@ -39,10 +39,11 @@ type op =
           misses. *)
 
 val apply : Sketch.t -> op -> Sketch.t
-(** Returns the refined sketch. Structural operations rebuild the
-    synopsis and remap every histogram configuration onto the new
-    nodes (an old dimension maps to every new edge its endpoints
-    split into; ineligible dimensions are dropped by the build). A
+(** Returns the refined sketch. Structural operations split one
+    synopsis node ({!Xtwig_synopsis.Graph_synopsis.split}) and remap
+    every histogram configuration onto the new nodes (an old dimension
+    maps to every new edge its endpoints split into; ineligible
+    dimensions are dropped by the build). A
     no-op refinement (e.g. splitting an already-stable edge) returns
     an equivalent sketch. *)
 

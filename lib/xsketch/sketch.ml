@@ -83,11 +83,12 @@ let distribution_of syn n dims =
 (* ------------------------------------------------------------------ *)
 (* Build                                                               *)
 
-let valid_dims syn n dims =
-  let eligible = Tsn.scope_edges syn n in
+(* [scope] is the owning node's [Tsn.scope_edges], computed once per
+   node and shared by its specs *)
+let valid_dims scope n dims =
   List.filter
     (fun d ->
-      List.mem (d.src, d.dst) eligible
+      List.exists (fun (s, t) -> s = d.src && t = d.dst) scope
       &&
       match d.kind with
       | Forward -> d.src = n
@@ -101,10 +102,13 @@ let valid_dims syn n dims =
    - when [prev] is built over the same (physically equal) synopsis,
      the map is the identity;
    - when [prev] is built over {e another synopsis of the same
-     document} (the situation after a structural split), a new node
-     maps to the previous node holding its first element, provided
-     their extents coincide elementwise. Splits refine the partition,
-     so the only nodes without an image are the split products.
+     document}, a new node maps to the previous node holding its first
+     element, provided their extents coincide. After
+     [Graph_synopsis.split] every untouched node shares its extent
+     array with the previous synopsis, so [==] settles it without
+     reading an element; extents from any other construction are
+     compared elementwise. Splits refine the partition, so the only
+     nodes without an image are the split products.
 
    A built histogram can be reused whenever its owning node and every
    dimension endpoint have identical extents in both synopses: edge
@@ -124,17 +128,12 @@ let node_map_of prev syn =
             let ext = G.extent syn n in
             let o = G.node_of_elem psyn ext.(0) in
             let pext = G.extent psyn o in
-            if Array.length pext <> Array.length ext then -1
-            else begin
-              let same = ref true in
-              let i = ref 0 in
-              let len = Array.length ext in
-              while !same && !i < len do
-                if ext.(!i) <> pext.(!i) then same := false;
-                Stdlib.incr i
-              done;
-              if !same then o else -1
-            end)
+            if
+              pext == ext
+              || Array.length pext = Array.length ext
+                 && Array.for_all2 Int.equal pext ext
+            then o
+            else -1)
       in
       fun n -> map.(n)
   | Some _ -> (fun _ -> -1)
@@ -155,42 +154,27 @@ let build_with ?prev ~node_map syn config =
   let n_nodes = G.node_count syn in
   if Array.length config.especs <> n_nodes || Array.length config.vbudgets <> n_nodes
   then invalid_arg "Sketch.build: config arity mismatch";
-  (* previous histogram with exactly these dimensions (in [prev]'s node
-     ids) and this budget, at previous node [o] *)
-  let prev_hist o (old_dims : dim array) budget =
+  (* the previous histogram at [n]'s image whose dimensions are [dims]
+     mapped into [prev]'s node ids, with this budget *)
+  let reuse_hist n dims budget =
+    let o = node_map n in
     match prev with
-    | None -> None
-    | Some p ->
+    | Some p when o >= 0 ->
+        let same dims' =
+          Array.length dims' = Array.length dims
+          && Array.for_all2
+               (fun d d' ->
+                 node_map d.src = d'.src && node_map d.dst = d'.dst && d.kind = d'.kind)
+               dims dims'
+        in
         let rec scan hs bs =
           match (hs, bs) with
           | (dims', h) :: hs', b' :: bs' ->
-              if b' = budget && dims' = old_dims then Some h else scan hs' bs'
+              if b' = budget && same dims' then Some h else scan hs' bs'
           | _, _ -> None
         in
         scan p.ehists.(o) p.ebudgets.(o)
-  in
-  let reuse_hist n dims budget =
-    let o = node_map n in
-    if o < 0 then None
-    else
-      let old_dims =
-        let ok = ref true in
-        let mapped =
-          Array.map
-            (fun d ->
-              let s = node_map d.src and t = node_map d.dst in
-              if s < 0 || t < 0 then begin
-                ok := false;
-                d
-              end
-              else { d with src = s; dst = t })
-            dims
-        in
-        if !ok then Some mapped else None
-      in
-      match old_dims with
-      | None -> None
-      | Some old_dims -> prev_hist o old_dims budget
+    | _ -> None
   in
   let ehists = Array.make n_nodes [] in
   let ebudgets = Array.make n_nodes [] in
@@ -198,15 +182,21 @@ let build_with ?prev ~node_map syn config =
     (* node-level fast path: same synopsis and unchanged spec list
        share the previous node's histogram list wholesale *)
     match prev with
-    | Some p when p.syn == syn && p.config.especs.(n) = config.especs.(n) ->
+    | Some p
+      when p.syn == syn
+           && (p.config.especs.(n) == config.especs.(n)
+              || p.config.especs.(n) = config.especs.(n)) ->
         Counters.incr ~by:(List.length p.ehists.(n)) c_ehists_reused;
         ehists.(n) <- p.ehists.(n);
         ebudgets.(n) <- p.ebudgets.(n)
     | _ ->
+    let scope =
+      match config.especs.(n) with [] -> [] | _ -> Tsn.scope_edges syn n
+    in
     let built =
       List.filter_map
         (fun spec ->
-          match valid_dims syn n spec.dims with
+          match valid_dims scope n spec.dims with
           | [] -> None
           | dims ->
               let dims = Array.of_list dims in

@@ -56,10 +56,13 @@ val build : ?prev:t -> Xtwig_synopsis.Graph_synopsis.t -> config -> t
       histogram they touch;
     - [prev] over {e another synopsis of the same document} (after a
       structural split): each node is matched to the previous node
-      with the elementwise-identical extent, and a histogram is reused
-      when the owning node and every dimension endpoint have such a
-      match (edge distributions depend only on those extents). Only
-      the split images and their scope neighbours rebuild.
+      with the elementwise-identical extent (an extent array shared
+      with [prev]'s synopsis, as {!Xtwig_synopsis.Graph_synopsis.split}
+      leaves every untouched node's, matches without a scan), and a
+      histogram is reused when the owning node and every dimension
+      endpoint have such a match (edge distributions depend only on
+      those extents). Only the split images and their scope neighbours
+      rebuild.
 
     Reuse is observable through the [sketch.*] counters of
     {!Xtwig_util.Counters}. *)

@@ -28,7 +28,7 @@ let exact doc q = float_of_int (Xtwig_eval.Eval_twig.selectivity doc q)
 let test_stabilized_path_counts () =
   List.iter
     (fun (name, doc) ->
-      let syn = G.stabilize_fixpoint ~max_rounds:2000 (G.label_split doc) in
+      let syn = Stabilize.fixpoint ~max_rounds:2000 (G.label_split doc) in
       let sk = Sketch.coarsest syn in
       (* every distinct root path in the document *)
       let paths = Hashtbl.create 64 in

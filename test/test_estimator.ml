@@ -194,7 +194,7 @@ let test_spath_twig_independence () =
    hence coverable. (Over a label-split synopsis the guarantee does not
    hold — optional children are not scope-eligible, by Definition 3.1.) *)
 let exact_full_stabilized doc =
-  let syn = G.stabilize_fixpoint ~max_rounds:500 (G.label_split doc) in
+  let syn = Stabilize.fixpoint ~max_rounds:500 (G.label_split doc) in
   let groupings =
     Array.init (G.node_count syn) (fun n ->
         match Tsn.scope_edges syn n with

@@ -148,6 +148,141 @@ let test_embed_cache_identical () =
   Alcotest.(check (float 0.0))
     "frozen cache still correct" (Est.estimate base (List.hd queries)) fresh
 
+(* ---------------- structural rebuild oracles ---------------- *)
+
+module Doc = Xtwig_xml.Doc
+module Sketch_io = Xtwig_sketch.Sketch_io
+
+(* [syn] (from [split]) against [of_partition] of its own partition,
+   accessor by accessor; [of_partition] numbers groups by first
+   element, so equal ids mean [split] numbered them that way too *)
+let check_split_equals_rederive syn =
+  let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt in
+  let doc = G.doc syn in
+  let ref_ = G.of_partition doc (Array.init (Doc.size doc) (G.node_of_elem syn)) in
+  let n = G.node_count ref_ in
+  if G.node_count syn <> n then fail "node_count";
+  if G.edge_count syn <> G.edge_count ref_ then fail "edge_count";
+  if G.root_node syn <> G.root_node ref_ then fail "root_node";
+  if G.structure_bytes syn <> G.structure_bytes ref_ then fail "structure_bytes";
+  if G.edges syn <> G.edges ref_ then fail "edges";
+  for e = 0 to Doc.size doc - 1 do
+    if G.node_of_elem syn e <> G.node_of_elem ref_ e then fail "node_of_elem %d" e;
+    for z = 0 to n - 1 do
+      if G.child_count syn e z <> G.child_count ref_ e z then fail "child_count %d %d" e z
+    done
+  done;
+  for v = 0 to n - 1 do
+    if G.extent syn v <> G.extent ref_ v then fail "extent %d" v;
+    if G.extent_size syn v <> G.extent_size ref_ v then fail "extent_size %d" v;
+    if G.node_tag syn v <> G.node_tag ref_ v then fail "node_tag %d" v;
+    if G.tag_name syn v <> G.tag_name ref_ v then fail "tag_name %d" v;
+    if G.out_edges syn v <> G.out_edges ref_ v then fail "out_edges %d" v;
+    if G.in_edges syn v <> G.in_edges ref_ v then fail "in_edges %d" v;
+    for w = 0 to n - 1 do
+      if G.edge syn ~src:v ~dst:w <> G.edge ref_ ~src:v ~dst:w then fail "edge %d->%d" v w
+    done
+  done;
+  for tag = 0 to Doc.tag_count doc - 1 do
+    if G.nodes_with_tag syn tag <> G.nodes_with_tag ref_ tag then fail "nodes_with_tag %d" tag;
+    let label = Doc.tag_to_string doc tag in
+    if G.nodes_with_label syn label <> G.nodes_with_label ref_ label then
+      fail "nodes_with_label %s" label
+  done
+
+(* Every structural op on the current sketch: b-stabilize on each edge
+   that is not B-stable, f-stabilize on each that is not F-stable, and
+   a value-split of every node with categorical values. *)
+let structural_ops sk =
+  let syn = Sketch.synopsis sk in
+  List.concat_map
+    (fun (e : G.edge) ->
+      (if e.b_stable then [] else [ Refinement.B_stabilize { src = e.src; dst = e.dst } ])
+      @ if e.f_stable then [] else [ Refinement.F_stabilize { src = e.src; dst = e.dst } ])
+    (G.edges syn)
+  @ List.filter_map
+      (fun n ->
+        if Sketch.vcat sk n = None then None
+        else Some (Refinement.Value_split { node = n; ways = 1 + (n mod 4) }))
+      (List.init (G.node_count syn) Fun.id)
+
+(* Walks XBUILD-like refinement paths over tiny IMDB and XMark
+   documents: each step checks a sample of the structural ops through
+   [Refinement.apply] — the split against a re-derivation, the
+   remapped configuration against the reference remap — then advances
+   by one op that changed the sketch, structural or not, so later
+   configurations carry expanded and remapped multi-dimensional
+   specs. *)
+let prop_structural_apply =
+  QCheck2.Test.make ~name:"Refinement.apply: split == of_partition, config == reference"
+    ~count:12
+    QCheck2.Gen.(pair (0 -- 10_000) bool)
+    (fun (seed, xmark) ->
+      let doc =
+        if xmark then Xtwig_datagen.Xmark.generate ~seed ~scale:0.005 ()
+        else Xtwig_datagen.Imdb.generate ~seed ~scale:0.005 ()
+      in
+      let prng = Prng.create seed in
+      let sk = ref (Sketch.coarsest ~ebudget:2 ~vbudget:4 (G.label_split doc)) in
+      for _ = 1 to 8 do
+        let sample = List.filter (fun _ -> Prng.int prng 3 = 0) (structural_ops !sk) in
+        List.iter
+          (fun op ->
+            let applied = Refinement.apply !sk op in
+            let syn = Sketch.synopsis !sk and syn' = Sketch.synopsis applied in
+            if syn' != syn then begin
+              check_split_equals_rederive syn';
+              if
+                Sketch.config applied
+                <> Remap_reference.remap_config syn (Sketch.config !sk) syn'
+              then QCheck2.Test.fail_reportf "config after %s" (Refinement.describe !sk op)
+            end)
+          sample;
+        let ops = sample @ Refinement.gen_candidates !sk prng in
+        match List.filter (fun op -> Refinement.apply !sk op != !sk) ops with
+        | [] -> ()
+        | moves -> sk := Refinement.apply !sk (Prng.pick_list prng moves)
+      done;
+      true)
+
+(* A build across a split where every untouched node shares its extent
+   with [prev] takes [node_map_of]'s [==] path; the same synopsis over
+   deep-copied extents takes the elementwise one. Both must give the
+   same bytes, changed nodes and reuse. *)
+let test_shared_extents_equal_copied () =
+  let base = Lazy.force base in
+  let syn0 = Sketch.synopsis base in
+  let doc = Lazy.force doc in
+  List.iter
+    (fun (name, kind) ->
+      let _op, applied = op_of_kind base kind in
+      let syn = Sketch.synopsis applied and cfg = Sketch.config applied in
+      let copy = G.of_partition doc (Array.init (Doc.size doc) (G.node_of_elem syn)) in
+      let shared = ref 0 in
+      for v = 0 to G.node_count syn - 1 do
+        for o = 0 to G.node_count syn0 - 1 do
+          if G.extent copy v == G.extent syn0 o then
+            Alcotest.failf "%s: the copy shares an extent" name;
+          if G.extent syn v == G.extent syn0 o then incr shared
+        done
+      done;
+      Alcotest.(check bool) (name ^ ": the split shares extents") true (!shared > 0);
+      let build syn =
+        let r0 = Counters.get "sketch.ehists_reused" in
+        let sk = Sketch.build ~prev:base syn cfg in
+        (sk, Counters.get "sketch.ehists_reused" - r0)
+      in
+      let a, reused_a = build syn in
+      let b, reused_b = build copy in
+      Alcotest.(check string) (name ^ ": bytes") (Sketch_io.to_string b)
+        (Sketch_io.to_string a);
+      Alcotest.(check (option (list int))) (name ^ ": changed nodes")
+        (Sketch.changed_nodes b) (Sketch.changed_nodes a);
+      Alcotest.(check int) (name ^ ": ehists reused") reused_b reused_a;
+      Alcotest.(check bool) (name ^ ": something reused") true (reused_a > 0))
+    [ ("B_stabilize", `B_stabilize); ("F_stabilize", `F_stabilize);
+      ("Value_split", `Value_split) ]
+
 let () =
   Alcotest.run "incremental"
     [
@@ -159,5 +294,9 @@ let () =
             test_counters_show_reuse;
           Alcotest.test_case "embed cache identical + hits" `Quick
             test_embed_cache_identical;
+          Alcotest.test_case "shared extents == copied extents" `Quick
+            test_shared_extents_equal_copied;
         ] );
+      ( "structural-apply",
+        List.map QCheck_alcotest.to_alcotest [ prop_structural_apply ] );
     ]

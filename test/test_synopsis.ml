@@ -98,7 +98,7 @@ let test_perfect_synopsis () =
 let test_split_by_parent () =
   let syn = G.label_split bib in
   let t = node_named syn "title" in
-  let syn' = G.split syn ~node:t ~group_of:(G.b_stabilize_groups syn ~dst:t) in
+  let syn' = G.split syn ~node:t ~group_of:(G.b_stabilize_groups syn) in
   (* title splits into paper-titles and book-titles *)
   Alcotest.(check int) "one extra node" (G.node_count syn + 1) (G.node_count syn');
   let titles = G.nodes_with_label syn' "title" in
@@ -115,7 +115,7 @@ let test_split_noop () =
   let syn = G.label_split bib in
   let p = node_named syn "paper" in
   (* papers all share the author parent: b-stabilize grouping is a no-op *)
-  let syn' = G.split syn ~node:p ~group_of:(G.b_stabilize_groups syn ~dst:p) in
+  let syn' = G.split syn ~node:p ~group_of:(G.b_stabilize_groups syn) in
   Alcotest.(check bool) "physically unchanged" true (syn' == syn)
 
 let test_split_f_stabilize () =
@@ -420,6 +420,41 @@ let initial doc = function
    groups. *)
 let split_gen = QCheck2.Gen.(triple small_nat small_nat (1 -- 3))
 
+(* What [split] shares with its input: the group holding [node]'s first
+   element keeps [node]'s id, every other old node moves up by the
+   number of new groups whose first element precedes its own, and keeps
+   its extent array physically. [part'] is the refined partition. *)
+let check_shared syn syn' part' ~node =
+  let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt in
+  let first v = (G.extent syn v).(0) in
+  (* the first element of each new group but [node]'s first one *)
+  let seen = Hashtbl.create 8 in
+  let new_firsts =
+    List.filter
+      (fun e ->
+        let v' = part'.(e) in
+        let fresh = not (Hashtbl.mem seen v') in
+        Hashtbl.replace seen v' ();
+        fresh && e <> first node)
+      (Array.to_list (G.extent syn node))
+  in
+  if syn' == syn then begin
+    if new_firsts <> [] then fail "a real split returned its input"
+  end
+  else begin
+    if G.node_of_elem syn' (first node) <> node then
+      fail "the first group of node %d moved" node;
+    for v = 0 to G.node_count syn - 1 do
+      if v <> node then begin
+        let v' = v + List.length (List.filter (fun e -> e < first v) new_firsts) in
+        if G.node_of_elem syn' (first v) <> v' then
+          fail "node %d moved to %d, not %d" v (G.node_of_elem syn' (first v)) v';
+        if G.extent syn' v' != G.extent syn v then
+          fail "node %d's extent is not shared" v
+      end
+    done
+  end
+
 let prop_synopsis_oracle =
   QCheck2.Test.make ~name:"of_partition/split match the definitions" ~count:200
     QCheck2.Gen.(
@@ -435,10 +470,11 @@ let prop_synopsis_oracle =
           (fun (syn, part) (pick, seed, k) ->
             let node = pick mod G.node_count syn in
             let group_of e = Hashtbl.hash (seed, e) mod k in
-            let syn = G.split syn ~node ~group_of in
+            let syn' = G.split syn ~node ~group_of in
             let part = model_split part ~node ~group_of in
-            check_against_model doc part syn;
-            (syn, part))
+            check_against_model doc part syn';
+            check_shared syn syn' part ~node;
+            (syn', part))
           (syn, part) splits
       in
       check_distributions doc part syn;
