@@ -313,10 +313,11 @@ let estimate_cmd =
       & info [ "explain" ]
           ~doc:
             "Print the estimate's provenance: plan tier taken (cache_hit \
-             when the session already had the query's plans, fresh_compile \
-             when this request compiled them, backend on a non-XSKETCH \
-             backend), embedding count, retries and fallback reason — the \
-             same record the xtwigd $(b,explain) verb serves.")
+             when the session already had the query's plans or its \
+             recorded answer, fresh_compile when this request compiled \
+             them, backend on a non-XSKETCH backend), embedding count, \
+             retries and fallback reason — the same record the xtwigd \
+             $(b,explain) verb serves.")
   in
   let optimize_flag =
     Arg.(
@@ -598,9 +599,10 @@ let bench_batch_cmd =
          n_answers wall
          (float_of_int n_answers /. Float.max 1e-9 wall)
          st.Engine.timeouts;
-       (* the session's plan cache over the batch: XBUILD compiles
-          nothing, so every compile is a distinct query's first
-          sighting (see DESIGN.md §12) *)
+       (* the session table over the batch: XBUILD compiles nothing,
+          so every compile is a distinct query's first sighting, and
+          every sighting in this one batch runs its plans (answers are
+          recorded only once a batch's jobs join; see DESIGN.md §12) *)
        let cv key = Xtwig_util.Counters.(value (counter key)) in
        Format.printf "plans:  %d compiled, %d cache hits, %d runs (compile %.1fms)@."
          (cv "plan.compiles") (cv "plan.cache_hits") (cv "plan.runs")
@@ -764,7 +766,7 @@ let stats_cmd =
        in
        let sanity = Xtwig_workload.Error_metric.sanity_bound truths in
        (* open every session up front so --follow re-serves through the
-          same engines (plan caches warm across passes) *)
+          same engines (session tables warm across passes) *)
        let* sessions =
          match tenants with
          | [] ->

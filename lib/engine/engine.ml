@@ -84,14 +84,17 @@ type stats = {
 type breaker = Closed | Open_until of float | Half_open
 
 (* What actually answers a query: either the compiled XSKETCH fast
-   path (the session table of plans + coarse label-split fallback) or
-   an opaque estimator behind the Estimator_backend signature. The
-   hardening fabric (retry, breaker, timeout, guards) is shared. *)
+   path (the session table of plans and recorded answers + coarse
+   label-split fallback) or an opaque estimator behind the
+   Estimator_backend signature. The hardening fabric (retry, breaker,
+   timeout, guards) is shared. *)
 type core =
   | Sk of {
       sk : Sketch.t;
       coarse : Sketch.t;  (* label-split fallback, shares the document *)
-      table : Plan.cache;  (* sk's plans and guard facts, per exact twig *)
+      table : Plan.cache;
+          (* sk's plans or recorded answers and guard facts, per exact
+             twig *)
     }
   | Bk of Backend.instance
 
@@ -256,15 +259,18 @@ let coarse_estimate t q =
   | Sk { coarse; _ } -> ( try Est.estimate coarse q with _ -> 0.0)
   | Bk inst -> ( try Backend.coarse inst q with _ -> 0.0)
 
+(* a span's arguments cost a [string_of_int] and a list per call: built
+   only while a trace records them *)
+let trace_args trace_id =
+  if Trace.enabled () then [ ("trace_id", string_of_int trace_id) ] else []
+
 let no_plans t =
   let pv_tier = match t.core with Sk _ -> Cache_hit | Bk _ -> Backend_opaque in
   { pv_tier; pv_embeddings = 0; pv_compile_ns = 0; pv_run_ns = 0 }
 
 let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
   Metrics.incr (t.fb_counter reason);
-  Trace.instant
-    ~args:[ ("trace_id", string_of_int trace_id) ]
-    "engine.fallback";
+  Trace.instant ~args:(trace_args trace_id) "engine.fallback";
   let elapsed_s = now () -. t0 in
   Metrics.observe t.h_query_s elapsed_s;
   {
@@ -284,20 +290,22 @@ let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
    plans in enumeration order — identical to Estimator.estimate's
    fold, so jobs > 1 changes scheduling, never values. One clock pair
    per query times the plan runs into [plan.run_ns] and the answer's
-   provenance. A raising evaluation (injected fault at
-   [engine.query], a panicking [on_embedding] hook) is retried with
-   backoff, then degraded to the coarse estimate — never
-   propagated. *)
-let eval_one t ~trace_id ~deadline q plans pv =
-  Trace.with_span ~name:"engine.query"
-    ~args:[ ("trace_id", string_of_int trace_id) ]
+   provenance. A recorded answer runs nothing: it passes the same
+   fault point and deadline check, so fault scenarios and the breaker
+   see the same outcomes, and returns the recorded sum. A raising
+   evaluation (injected fault at [engine.query], a panicking
+   [on_embedding] hook) is retried with backoff, then degraded to the
+   coarse estimate — never propagated. *)
+let eval_one t ~trace_id ~deadline q held pv =
+  Trace.with_span ~name:"engine.query" ~args:(trace_args trace_id)
   @@ fun () ->
   let t0 = now () in
   let run_ns = ref 0 in
   let run_plans () =
     Fault.point "engine.query";
-    match t.core with
-    | Sk _ ->
+    match (t.core, held) with
+    | Sk _, Plan.Answer v -> if now () > deadline then None else Some v
+    | Sk _, Plan.Plans plans ->
         let n = Array.length plans in
         let rec go acc i =
           if i = n then Some acc
@@ -316,7 +324,7 @@ let eval_one t ~trace_id ~deadline q plans pv =
           run_ns := !run_ns + ns;
           r
         end
-    | Bk inst ->
+    | Bk inst, _ ->
         (* opaque backends evaluate in one step: the deadline is
            checked before (and re-checked after, so an over-budget
            answer still reports Timeout) but cannot interrupt the
@@ -342,9 +350,7 @@ let eval_one t ~trace_id ~deadline q plans pv =
   (match reason with
   | Some r ->
       Metrics.incr (t.fb_counter r);
-      Trace.instant
-        ~args:[ ("trace_id", string_of_int trace_id) ]
-        "engine.fallback"
+      Trace.instant ~args:(trace_args trace_id) "engine.fallback"
   | None -> ());
   let elapsed_s = now () -. t0 in
   Metrics.observe t.h_query_s elapsed_s;
@@ -411,7 +417,8 @@ let record_outcome t ~probe i a =
    [embed.fill] / [plan.fill] are retried with backoff while the
    deadline allows. The deadline is set here, before compilation, so
    compile time spends the same budget evaluation does. [Ok] carries
-   the plans and the provenance of this lookup. *)
+   what the entry holds (plans, or the answer recorded on an earlier
+   sighting) and the provenance of this lookup. *)
 let compile_prep t ~timeout ~probe i q =
   Fault.with_scope i @@ fun () ->
   if breaker_blocks t probe i then Error (Circuit_open, 0)
@@ -421,21 +428,21 @@ let compile_prep t ~timeout ~probe i q =
     | Bk _ ->
         (* opaque backends have no compile phase: evaluation happens
            in eval_one, under the same deadline *)
-        Ok ([||], no_plans t, deadline, 0)
+        Ok (Plan.Plans [||], no_plans t, deadline, 0)
     | Sk { table; _ } ->
         let rec attempt k =
           match Plan.lookup table q with
           | { Plan.guarded = true; _ } -> Error (Guard, k)
-          | { Plan.plans; compiled; compile_ns; _ } ->
+          | { Plan.held; embeddings; compiled; compile_ns; _ } ->
               let pv =
                 {
                   pv_tier = (if compiled then Fresh_compile else Cache_hit);
-                  pv_embeddings = Array.length plans;
+                  pv_embeddings = embeddings;
                   pv_compile_ns = compile_ns;
                   pv_run_ns = 0;
                 }
               in
-              Ok (plans, pv, deadline, k)
+              Ok (held, pv, deadline, k)
           | exception _ when k < t.retry_limit && now () <= deadline ->
               Metrics.incr c_retries;
               backoff t k;
@@ -462,10 +469,12 @@ let estimate_batch ?timeout_s ?trace_id t queries =
       @@ fun () ->
       Trace.with_span ~name:"engine.estimate_batch"
         ~args:
-          [
-            ("trace_id", string_of_int trace_id);
-            ("queries", string_of_int (List.length queries));
-          ]
+          (if Trace.enabled () then
+             [
+               ("trace_id", string_of_int trace_id);
+               ("queries", string_of_int (List.length queries));
+             ]
+           else [])
       @@ fun () ->
       let t0 = now () in
       (* table lookups (and so enumeration and plan compilation) on the
@@ -481,8 +490,8 @@ let estimate_batch ?timeout_s ?trace_id t queries =
       let earr = Array.of_list prepped in
       let run (q, prep) =
         match prep with
-        | Ok (plans, pv, deadline, retries) ->
-            let a = eval_one t ~trace_id ~deadline q plans pv in
+        | Ok (held, pv, deadline, retries) ->
+            let a = eval_one t ~trace_id ~deadline q held pv in
             { a with retries = a.retries + retries }
         | Error (reason, retries) ->
             degrade_answer t ~trace_id ~t0:(now ()) ~reason ~retries q
@@ -519,6 +528,21 @@ let estimate_batch ?timeout_s ?trace_id t queries =
                     Fault.with_scope i (fun () -> safe_run i))
               futs
       in
+      (* after the join, on the owner, in query order: a clean answer
+         whose lookup handed out plans becomes the entry's answer, and
+         later sightings run nothing. A degraded answer is the coarse
+         floor and is never recorded; its next sighting runs the kept
+         plans again. *)
+      (match t.core with
+      | Sk { table; _ } ->
+          Array.iteri
+            (fun i a ->
+              match earr.(i) with
+              | q, Ok (Plan.Plans _, _, _, _) when a.reason = None ->
+                  Plan.record table q a.estimate
+              | _ -> ())
+            answers
+      | Bk _ -> ());
       let answers = Array.to_list answers in
       List.iteri (fun i a -> record_outcome t ~probe:!probe i a) answers;
       let count p = List.fold_left (fun n a -> if p a then n + 1 else n) 0 answers in
@@ -566,7 +590,8 @@ let estimate ?timeout_s ?trace_id t q =
    single-writer discipline as [stats] / [close]): workers only ever
    see the core their batch captured. The session table is keyed to
    the old sketch and starts fresh: each query compiles again on its
-   first sighting after the update. *)
+   first sighting after the update, and no recorded answer outlives
+   its sketch. *)
 let update t delta =
   if t.closed then Error (Xerror.Engine "session is closed")
   else

@@ -5,18 +5,21 @@
     system treats it as a session: build (or load) a synopsis once,
     then answer batches of twig queries against it for the lifetime of
     the process. [Engine.t] packages exactly that — the built sketch,
-    a coarse fallback sketch, one session table of compiled plans
-    ({!Xtwig_sketch.Plan.cache}), and an optional {!Xtwig_util.Pool}
-    of worker domains that evaluates the queries of a batch
-    concurrently.
+    a coarse fallback sketch, one session table of compiled plans and
+    recorded answers ({!Xtwig_sketch.Plan.cache}), and an optional
+    {!Xtwig_util.Pool} of worker domains that evaluates the queries of
+    a batch concurrently.
 
     A session is the one place plans are compiled
-    ({!Xtwig_sketch.Plan}): a query compiles on its first sighting
-    and its plans are run from then on. The table keys each query by
-    its exact identity ({!Xtwig_path.Path_types.Twig_tbl}), so a warm
-    call costs one hash, one equality check and the plan runs.
-    Everything else a session computes once — the coarse fallback,
-    XBUILD's estimates in {!create} — runs the recursive evaluator.
+    ({!Xtwig_sketch.Plan}). An estimate is a pure function of the
+    sketch and the twig, so each distinct query compiles and runs
+    once: a query compiles on its first sighting, its plans run until
+    they answer clean, and the table then keeps that answer instead of
+    the plans. The table keys each query by its exact identity
+    ({!Xtwig_path.Path_types.Twig_tbl}), so a warm call costs one hash
+    and one equality check and runs no plan. Everything else a session
+    computes once — the coarse fallback, XBUILD's estimates in
+    {!create} — runs the recursive evaluator.
 
     {2 Concurrency model}
 
@@ -25,7 +28,10 @@
     embedding enumeration and plan compilation — run on the owner,
     the table's only reader and writer, and per-query evaluation fans
     out to the pool; results return in query order, so a batch's
-    answers are identical whatever [jobs] is.
+    answers are identical whatever [jobs] is. After the batch's jobs
+    join, the owner records each clean answer that ran plans in the
+    table, in query order; workers never write it. A query repeated
+    within one batch therefore runs its plans at each sighting.
 
     {2 Timeouts and graceful degradation}
 
@@ -60,6 +66,13 @@
       table entry keeps the guard facts and no plans, so later
       sightings degrade without enumerating again.
 
+    A degraded answer is the coarse floor, never the query's estimate,
+    so it is never recorded: the query's next sighting runs its kept
+    plans again without recompiling. A recorded answer still passes
+    the [engine.query] fault point and the deadline check, so fault
+    scenarios fire at the same queries and the breaker counts the
+    same outcomes whether an answer ran plans or was recorded.
+
     Degradations are counted per reason in
     [engine.fallback{reason=...}], retries in [engine.retries], and
     the breaker state is exported as the [engine.circuit_state] gauge
@@ -82,8 +95,9 @@ type fallback_reason =
 
 type plan_tier =
   | Cache_hit
-      (** the query's compiled plans were served from the session
-          table; also the tier of an answer that ran no plans *)
+      (** the query's compiled plans or its recorded answer were
+          served from the session table; also the tier of an answer
+          that ran no plans *)
   | Fresh_compile  (** this request compiled the query's plans *)
   | Backend_opaque  (** an {!of_backend} session — no plans *)
 
@@ -94,12 +108,15 @@ val tier_label : plan_tier -> string
 type provenance = {
   pv_tier : plan_tier;
   pv_embeddings : int;
-      (** embeddings enumerated (= compiled plans) for the query; 0
-          when the compile phase degraded or on a backend session *)
+      (** the query's embedding count (= compiled plans), from its
+          table entry's guard facts, so a recorded answer reports it
+          too; 0 when the compile phase degraded or on a backend
+          session *)
   pv_compile_ns : int;  (** time this request spent compiling plans *)
   pv_run_ns : int;
       (** time spent running the plans (one clock pair per query, also
-          booked under [plan.run_ns]); 0 on a backend session *)
+          booked under [plan.run_ns]); 0 for a recorded answer, which
+          ran none, and on a backend session *)
 }
 
 type answer = {
@@ -171,7 +188,8 @@ val create :
     [on_embedding] is a fault-injection/observability hook invoked on
     the evaluating domain before each embedding's contribution — the
     timeout tests hang a chosen query with it; a tracing caller can
-    count embedding visits. *)
+    count embedding visits. A recorded answer runs no plan and does
+    not call it. *)
 
 val of_sketch :
   ?name:string ->
@@ -250,7 +268,8 @@ val update :
     edit are reused in place, the coarse fallback is rebuilt over the
     new document, and the session table starts fresh (it is keyed to
     the old sketch), so each query compiles again on its first
-    sighting after the update.
+    sighting after the update and no recorded answer outlives the
+    sketch it was computed on.
 
     Owner-domain only, between batches — the same single-writer
     discipline as {!stats} and {!close}; a batch in flight keeps the

@@ -28,8 +28,9 @@ val dropped : unit -> int
 val with_span : ?args:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 (** [with_span ~name f] brackets [f] with "B"/"E" events on the
     calling domain's track, also on exception. [args] become the
-    span's Chrome args (keep them cheap: they are evaluated by the
-    caller even when tracing is disabled). *)
+    span's Chrome args. The caller evaluates them before the call,
+    also when tracing is disabled and they are dropped, so a hot path
+    builds them only under {!enabled} (one more atomic load). *)
 
 val instant : ?args:(string * string) list -> string -> unit
 (** A zero-duration marker event. *)

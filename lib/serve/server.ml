@@ -227,10 +227,13 @@ let refresh_queue_gauge t tenant =
   in
   Metrics.set (g_queue tenant) (float_of_int depth)
 
+(* span arguments are built only while a trace records them: a
+   disabled trace drops them, and building costs a [string_of_int] and
+   a list per request *)
 let trace_args it =
   match it.trace with
-  | Some tid -> [ ("trace_id", string_of_int tid) ]
-  | None -> []
+  | Some tid when Trace.enabled () -> [ ("trace_id", string_of_int tid) ]
+  | Some _ | None -> []
 
 (* outcome accounting when a request's response is enqueued: request
    histogram, phase histograms + X spans, SLO classification, and the
@@ -571,13 +574,15 @@ let process_run t tenant_name ~run_start_ns (items : item list) =
       match
         Trace.with_span ~name:"serve.batch"
           ~args:
-            ((match trace_id with
-             | Some tid -> [ ("trace_id", string_of_int tid) ]
-             | None -> [])
-            @ [
-                ("tenant", tenant_name);
-                ("queries", string_of_int (List.length queries));
-              ])
+            (if Trace.enabled () then
+               (match trace_id with
+               | Some tid -> [ ("trace_id", string_of_int tid) ]
+               | None -> [])
+               @ [
+                   ("tenant", tenant_name);
+                   ("queries", string_of_int (List.length queries));
+                 ]
+             else [])
         @@ fun () ->
         Fault.point "serve.batch";
         Engine.estimate_batch ?trace_id (Catalog.engine tn) queries
@@ -650,7 +655,7 @@ let process_optimize t tenant_name ~run_start_ns it q =
       in
       match
         Trace.with_span ~name:"serve.optimize"
-          ~args:[ ("tenant", tenant_name) ]
+          ~args:(if Trace.enabled () then [ ("tenant", tenant_name) ] else [])
         @@ fun () ->
         let sk = Engine.sketch (Catalog.engine tn) in
         Xtwig.optimize sk q
@@ -789,7 +794,7 @@ let read_conn t conn =
     | 0 -> close_conn t conn
     | n ->
         Trace.with_span ~name:"serve.read"
-          ~args:[ ("bytes", string_of_int n) ]
+          ~args:(if Trace.enabled () then [ ("bytes", string_of_int n) ] else [])
         @@ fun () ->
         Protocol.feed conn.dec conn.rbuf n;
         let continue = ref true in

@@ -52,8 +52,9 @@ val estimate :
     embedding enumeration is shared across calls (and across the
     sketches of one XBUILD scoring step, which differ only in
     histograms). Estimates are identical with or without it. Compiles
-    nothing: plans pay off only for queries seen again, which is the
-    engine session's case. *)
+    nothing: only an engine session compiles, against one compile
+    context for its sketch, and it runs each distinct query's plans
+    once and keeps the answer (DESIGN.md §12). *)
 
 val estimate_path : Sketch.t -> Xtwig_path.Path_types.path -> float
 (** Single-path-expression cardinality (a chain twig). *)

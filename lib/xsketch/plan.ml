@@ -1041,13 +1041,15 @@ let compile_roots sketch roots =
 (* ------------------------------------------------------------------ *)
 (* Session table                                                       *)
 
-(* One entry per query under its exact identity: its plans (none for a
-   guarded query) and the guard facts. The sketch is immutable, so an
-   entry never goes stale; a new sketch gets a new table. Owned by one
-   domain (the engine session's owner), the only reader and writer;
-   the plan arrays it hands out are immutable and may be run on any
-   domain. *)
-type entry = { e_plans : t array; e_embeddings : int; e_nodes : int }
+(* One entry per query under its exact identity: its guard facts and
+   either its plans (none for a guarded query) or, once they have run
+   clean, their sum. The sketch is immutable, so an entry never goes
+   stale; a new sketch gets a new table. Owned by one domain (the
+   engine session's owner), the only reader and writer; the plan
+   arrays it hands out are immutable and may be run on any domain. *)
+type held = Plans of t array | Answer of float
+
+type entry = { mutable e_held : held; e_embeddings : int; e_nodes : int }
 
 type cache = {
   c_cx : cctx;  (* its per-node arrays carry over between queries *)
@@ -1059,7 +1061,13 @@ type cache = {
       (* the enumeration of a query whose [plan.fill] raised *)
 }
 
-type found = { plans : t array; guarded : bool; compiled : bool; compile_ns : int }
+type found = {
+  held : held;
+  embeddings : int;
+  guarded : bool;
+  compiled : bool;
+  compile_ns : int;
+}
 
 let create_cache ~max_embeddings ~max_embed_nodes sketch =
   {
@@ -1077,7 +1085,13 @@ let lookup c q =
   match Twig_tbl.find_opt c.c_entries q with
   | Some e ->
       Counters.incr c_hits;
-      { plans = e.e_plans; guarded = guarded c e; compiled = false; compile_ns = 0 }
+      {
+        held = e.e_held;
+        embeddings = e.e_embeddings;
+        guarded = guarded c e;
+        compiled = false;
+        compile_ns = 0;
+      }
   | None ->
       Counters.incr c_misses;
       let roots =
@@ -1096,10 +1110,10 @@ let lookup c q =
         if n > c.c_max_embeddings then 0
         else List.fold_left (fun a e -> a + Embed.size e) 0 roots
       in
-      let e = { e_plans = [||]; e_embeddings = n; e_nodes } in
+      let e = { e_held = Plans [||]; e_embeddings = n; e_nodes } in
       let found =
         if guarded c e then
-          { plans = [||]; guarded = true; compiled = false; compile_ns = 0 }
+          { held = e.e_held; embeddings = n; guarded = true; compiled = false; compile_ns = 0 }
         else begin
           Xtwig_fault.Fault.point "plan.fill";
           let t0 = Counters.now_ns () in
@@ -1108,9 +1122,15 @@ let lookup c q =
           let cx = { c.c_cx with cx_needs = Hashtbl.create 64 } in
           let plans = Array.of_list (List.map (compile_in cx) roots) in
           let compile_ns = Int64.to_int (Int64.sub (Counters.now_ns ()) t0) in
-          { plans; guarded = false; compiled = true; compile_ns }
+          e.e_held <- Plans plans;
+          { held = e.e_held; embeddings = n; guarded = false; compiled = true; compile_ns }
         end
       in
-      Twig_tbl.replace c.c_entries q { e with e_plans = found.plans };
+      Twig_tbl.replace c.c_entries q e;
       c.c_pending <- None;
       found
+
+let record c q v =
+  match Twig_tbl.find_opt c.c_entries q with
+  | Some e -> e.e_held <- Answer v
+  | None -> ()

@@ -12,10 +12,12 @@
     allocating zero words on the OCaml heap in steady state (held by a
     [Gc.minor_words] delta over {!run_batch} in test/test_plan.ml).
 
-    Compiling pays off only when a plan runs many times, so plans are
-    compiled in one place: an engine session's {!cache}. Every other
-    estimate (XBUILD's candidate scoring, the optimizer's costing, the
-    CLI) runs the recursive evaluator {!Estimator.estimate}.
+    Plans are compiled in one place: an engine session's {!cache},
+    which runs a query's plans until they answer clean once and keeps
+    only their sum from then on (DESIGN.md §12 has why a session still
+    compiles). Every other estimate (XBUILD's candidate scoring, the
+    optimizer's costing, the CLI) runs the recursive evaluator
+    {!Estimator.estimate}.
 
     {b Byte-identity:} a plan compiled from [e] replays the recursive
     evaluator's floating-point operations in the exact same order, so
@@ -45,14 +47,16 @@ val run_batch : t array -> float array -> unit
 
     An engine session's one table: an entry per query under its exact
     identity ({!Xtwig_path.Path_types.Twig_tbl}) holding the query's
-    plans (none for a guarded query) and its guard facts (embedding
-    count, embedding node count). A query compiles on its first lookup
-    and its plans run as they are from then on: the sketch is
+    guard facts (embedding count, embedding node count) and one of two
+    things: its plans (none for a guarded query), until they have run
+    clean once, then their sum. A query compiles on its first lookup;
+    the engine runs the plans and {!record}s the sum, and every later
+    lookup hands out that sum and runs nothing. The sketch is
     immutable, so no entry is ever revalidated, and a new sketch gets
-    a new table. Embeddings are dropped once compiled, so a warm
-    lookup is one hash and one equality check. The owner domain does
-    every lookup; the returned plans are immutable and may be run on
-    any domain. *)
+    a new table. Embeddings are dropped once compiled, so a warm lookup
+    is one hash and one equality check. The owner domain does every
+    lookup and every {!record}; the returned plans are immutable and
+    may be run on any domain. *)
 
 type cache
 
@@ -62,10 +66,18 @@ val create_cache :
     [max_embeddings] embeddings or [max_embed_nodes] embedding nodes
     (every alternative counted) is guarded: it compiles nothing. *)
 
+type held =
+  | Plans of t array
+      (** one per embedding, in enumeration order; empty for a guarded
+          query *)
+  | Answer of float
+      (** the plans' sum, bit for bit, recorded once they ran clean *)
+
 type found = {
-  plans : t array;  (** one per embedding, in enumeration order *)
-  guarded : bool;  (** the query exceeds a guard; [plans] is empty *)
-  compiled : bool;  (** this lookup compiled [plans] *)
+  held : held;  (** what the entry holds *)
+  embeddings : int;  (** the query's embedding count, a guard fact *)
+  guarded : bool;  (** the query exceeds a guard; [held] is [Plans [||]] *)
+  compiled : bool;  (** this lookup compiled the plans *)
   compile_ns : int;  (** monotonic nanoseconds this lookup compiled for *)
 }
 
@@ -77,3 +89,9 @@ val lookup : cache -> Xtwig_path.Path_types.twig -> found
     unguarded query then passes [plan.fill] and compiles every root.
     A miss that raises stores nothing, and after a raising [plan.fill]
     the retried lookup of the same query reuses its enumeration. *)
+
+val record : cache -> Xtwig_path.Path_types.twig -> float -> unit
+(** [record c q v] replaces the plans of [q]'s entry by [v], the sum
+    of a clean run of the plans a {!lookup} of [q] handed out, and
+    drops them. Only a clean sum may be recorded: a degraded answer
+    would be served for the sketch's lifetime. *)

@@ -199,8 +199,9 @@ val open_sketch_session :
   ?breaker_cooldown_s:float ->
   sketch ->
   (Engine.t, Xerror.t) result
-(** The compiled XSKETCH path (one session table of compiled plans
-    keyed by exact twig, pool fan-out). [name] labels the session's
+(** The compiled XSKETCH path (one session table keyed by exact twig:
+    a query compiles and runs once, then its answer is recorded; pool
+    fan-out). [name] labels the session's
     metrics with a [tenant] label — see {!Engine.of_sketch}. *)
 
 val open_backend_session :
@@ -223,7 +224,8 @@ val estimate :
   twig ->
   (Engine.answer, Xerror.t) result
 (** One query's estimate with its provenance ({!Engine.provenance}:
-    plan tier — [cache_hit] when the session had the query's plans,
+    plan tier — [cache_hit] when the session had the query's plans or
+    its recorded answer,
     [fresh_compile] when this request compiled them, [backend] on a
     backend session — embedding count, compile and run time). *)
 

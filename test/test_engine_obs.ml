@@ -148,7 +148,32 @@ let test_batch_trace_ids_and_spans () =
   Alcotest.(check bool) "engine.query spans present" true
     (contains "engine.query" js);
   Alcotest.(check bool) "batch span present" true
-    (contains "engine.estimate_batch" js)
+    (contains "engine.estimate_batch" js);
+  (* the span arguments the engine builds only while tracing: the
+     batch span carries the batch's trace id and query count, and
+     every query span its trace id, also on the worker domains, which
+     have no ambient id *)
+  let begins name =
+    List.filter
+      (fun l ->
+        contains (Printf.sprintf "\"name\":\"%s\"" name) l
+        && contains "\"ph\":\"B\"" l)
+      (String.split_on_char '\n' js)
+  in
+  let id = Printf.sprintf "\"trace_id\":\"%d\"" (List.hd ids) in
+  (match begins "engine.estimate_batch" with
+  | [] -> Alcotest.fail "no batch span"
+  | l :: _ ->
+      Alcotest.(check bool) "batch span: trace_id" true (contains id l);
+      Alcotest.(check bool) "batch span: queries" true
+        (contains
+           (Printf.sprintf "\"queries\":\"%d\"" (List.length qs))
+           l));
+  let query_spans =
+    List.filter (contains id) (begins "engine.query")
+  in
+  Alcotest.(check int) "a query span with the trace id per query"
+    (List.length qs) (List.length query_spans)
 
 (* An answer's tier is what its own table lookup saw: session A
    explains an already-compiled query over and over on this domain
@@ -256,6 +281,53 @@ let test_twin_keys_xbuild () =
   check_twins "xbuild"
     (get (Xtwig.build_sketch ~budget:16_000 ~seed:7 (Lazy.force imdb05)))
 
+(* Recorded answers never outlive their sketch: after an
+   [Engine.update] insert and then a delete, the session's answers,
+   recorded on a second send, equal bit for bit a fresh session's over
+   the updated sketch, and each update moves some answer. *)
+let test_recorded_answers_fresh_across_updates () =
+  let doc = Lazy.force imdb in
+  let sk = build_small doc in
+  let qs =
+    Wgen.generate { Wgen.paper_p with Wgen.n_queries = 12 } (Prng.create 5) doc
+  in
+  let bits answers =
+    List.map (fun (a : Engine.answer) -> Int64.bits_of_float a.Engine.estimate) answers
+  in
+  let fresh sk =
+    let e = get (Engine.of_sketch sk) in
+    Fun.protect ~finally:(fun () -> Engine.close e) @@ fun () ->
+    bits (get (Engine.estimate_batch e qs))
+  in
+  let eng = get (Engine.of_sketch sk) in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  let recorded () =
+    ignore (get (Engine.estimate_batch eng qs));
+    bits (get (Engine.estimate_batch eng qs))
+  in
+  let before = recorded () in
+  Alcotest.(check (list int64)) "recorded == fresh session" (fresh sk) before;
+  let fragment =
+    get
+      (Xtwig_xml.Xml_parser.parse_string_res
+         "<movie><title>Delta</title><year>1999</year><actor>A</actor>\
+          <actor>B</actor><producer>P</producer></movie>")
+  in
+  let step label delta previous =
+    get (Engine.update eng delta);
+    let now = recorded () in
+    Alcotest.(check (list int64))
+      (label ^ ": recorded == fresh session over the updated sketch")
+      (fresh (Engine.sketch eng)) now;
+    Alcotest.(check bool) (label ^ ": some answer moved") true (now <> previous);
+    now
+  in
+  let after_insert =
+    step "insert" (Sketch.Insert { parent = Xtwig_xml.Doc.root doc; fragment }) before
+  in
+  (* the fragment's root takes the next node id *)
+  ignore (step "delete" (Sketch.Delete (Xtwig_xml.Doc.size doc)) after_insert)
+
 let () =
   Alcotest.run "engine_obs"
     [
@@ -269,6 +341,8 @@ let () =
             test_batch_trace_ids_and_spans;
           Alcotest.test_case "explain tier is per session across domains"
             `Quick test_explain_tier_is_per_session;
+          Alcotest.test_case "recorded answers fresh across updates" `Quick
+            test_recorded_answers_fresh_across_updates;
         ] );
       ( "exact session keys",
         [

@@ -188,9 +188,11 @@ let queries n = Wgen.generate { Wgen.paper_p with Wgen.n_queries = n } (Prng.cre
    thing being faulted *)
 let warm () = ignore (Lazy.force sk)
 
-(* run a batch against a fresh session; the engine must return Ok with
+(* run a batch against a fresh session ([sends] times in a row, the
+   answers of every send concatenated); the engine must return Ok with
    one finite answer per query, whatever the scenario does *)
-let run_batch ?(jobs = 1) ?(retries = 2) ?(breaker_threshold = max_int) qs =
+let run_batch ?(jobs = 1) ?(retries = 2) ?(breaker_threshold = max_int)
+    ?(sends = 1) qs =
   let eng =
     get
       (Engine.of_sketch ~jobs ~timeout_s:60.0 ~retries ~backoff_s:0.0
@@ -198,7 +200,15 @@ let run_batch ?(jobs = 1) ?(retries = 2) ?(breaker_threshold = max_int) qs =
   in
   Fun.protect
     ~finally:(fun () -> Engine.close eng)
-    (fun () -> Engine.estimate_batch eng qs)
+    (fun () ->
+      let rec go k acc =
+        if k = 0 then Ok (List.concat (List.rev acc))
+        else
+          match Engine.estimate_batch eng qs with
+          | Ok answers -> go (k - 1) (answers :: acc)
+          | Error e -> Error e
+      in
+      go sends [])
 
 let answer_key (a : Engine.answer) =
   Printf.sprintf "%.17g|%b|%s|%d" a.Engine.estimate a.Engine.fallback
@@ -213,14 +223,20 @@ let answer_key (a : Engine.answer) =
 let chaos_spec =
   "seed=5;engine.query:p0.3;plan.fill:p0.2;embed.fill:p0.15"
 
+(* The batch holds one query twice and goes to its session twice, so
+   the second send reads the answers the first recorded; a recorded
+   answer passes the [engine.query] point like one that runs plans,
+   so a scenario fires at the same arrivals either way. *)
 let test_fault_sequence_deterministic =
   protecting @@ fun () ->
   warm ();
   let qs = queries 25 in
+  let qs = qs @ [ List.hd qs ] in
+  let n = List.length qs in
   let sp = spec chaos_spec in
   let run jobs =
     Fault.install sp;
-    let answers = get (run_batch ~jobs qs) in
+    let answers = get (run_batch ~jobs ~sends:2 qs) in
     let log = Fault.log_to_string () in
     (String.concat "\n" (List.map answer_key answers), log)
   in
@@ -234,7 +250,26 @@ let test_fault_sequence_deterministic =
   Alcotest.(check string) "jobs=2: identical fault log" l1 l2;
   Alcotest.(check string) "jobs=4: identical fault log" l1 l4;
   Alcotest.(check string) "jobs=2: identical answers" a1 a2;
-  Alcotest.(check string) "jobs=4: identical answers" a1 a4
+  Alcotest.(check string) "jobs=4: identical answers" a1 a4;
+  (* every query's second arrival fires: on the second send, where
+     each answer is recorded, in every scope, once, whatever [jobs] *)
+  List.iter
+    (fun jobs ->
+      Fault.install (spec "engine.query:n2");
+      let answers = get (run_batch ~jobs ~sends:2 qs) in
+      Alcotest.(check (list (triple string int int)))
+        (Printf.sprintf "jobs=%d: n2 fires on every recorded sighting" jobs)
+        (List.init n (fun i -> ("engine.query", i, 2)))
+        (Fault.log ());
+      List.iteri
+        (fun i (a : Engine.answer) ->
+          Alcotest.(check (pair bool int))
+            (Printf.sprintf "jobs=%d: answer %d clean, retried %d" jobs i
+               (if i < n then 0 else 1))
+            (false, if i < n then 0 else 1)
+            (a.Engine.fallback, a.Engine.retries))
+        answers)
+    [ 1; 2; 4 ]
 
 let test_retry_then_success =
   protecting @@ fun () ->
@@ -323,6 +358,132 @@ let test_guard_degrades =
             (a.Engine.reason = Some Engine.Guard))
         answers;
       Alcotest.(check int) "degraded counted" 4 (Engine.stats eng).Engine.degraded)
+
+(* A degraded answer is the coarse floor and is never recorded: after
+   each degraded sighting of a query, cold or already recorded, its
+   next clean sighting returns the exact estimate bit for bit. The
+   degraded sightings: a Timeout past a deadline that expired while
+   the query waited behind a hung one, an [on_embedding] hang, an
+   injected [engine.query] fault, and a failed half-open probe with
+   the query short-circuited behind it. A guarded query degrades with
+   Guard on every sighting. *)
+let test_degraded_answers_not_recorded =
+  protecting @@ fun () ->
+  warm ();
+  let sk = Lazy.force sk in
+  let coarse = Sketch.default_of_doc (Lazy.force imdb) in
+  let syn = Sketch.synopsis sk in
+  let n_emb q = List.length (Xtwig_sketch.Embed.embeddings syn q) in
+  let qs = List.sort_uniq compare (queries 12) in
+  let victim = List.find (fun q -> n_emb q >= 2) qs in
+  let qs = List.filter (fun q -> q != victim) qs in
+  let exact = Xtwig_sketch.Estimator.estimate sk in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check bool) "a coarse answer differs from its exact one" true
+    (List.exists (fun q -> bits (exact q) <> bits (Xtwig_sketch.Estimator.estimate coarse q)) qs);
+  (* [hung] queries sleep before each embedding's contribution; a
+     query with two embeddings then misses a 10 ms deadline *)
+  let hung = ref [] and hook_calls = ref 0 in
+  let hang q =
+    incr hook_calls;
+    if List.memq q !hung then Unix.sleepf 0.025
+  in
+  let session () =
+    get
+      (Engine.of_sketch ~timeout_s:60.0 ~retries:0 ~backoff_s:0.0
+         ~breaker_threshold:1 ~breaker_cooldown_s:0.0 ~on_embedding:hang sk)
+  in
+  let batch ?timeout_s eng qs = get (Engine.estimate_batch ?timeout_s eng qs) in
+  let reason (a : Engine.answer) =
+    match a.Engine.reason with
+    | None -> "none"
+    | Some Engine.Timeout -> "timeout"
+    | Some Engine.Fault -> "fault"
+    | Some Engine.Circuit_open -> "circuit"
+    | Some Engine.Guard -> "guard"
+  in
+  let clean label eng q =
+    match batch eng [ q ] with
+    | [ a ] ->
+        Alcotest.(check (pair string int64)) label
+          ("none", bits (exact q))
+          (reason a, bits a.Engine.estimate)
+    | _ -> Alcotest.fail "one answer per query"
+  in
+  let degraded label want (a : Engine.answer) =
+    Alcotest.(check string) label want (reason a)
+  in
+  let with_faults f =
+    Fault.install (spec "engine.query:always");
+    Fun.protect ~finally:Fault.disable f
+  in
+  let eng = session () in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  hung := [ victim ];
+  List.iteri
+    (fun i q ->
+      (* two rounds: the first starts with [q] cold, the second with
+         its answer recorded *)
+      List.iter
+        (fun start ->
+          let l what = Printf.sprintf "q%d, starting %s: %s" i start what in
+          (match batch ~timeout_s:0.01 eng [ victim; q ] with
+          | [ _; a ] -> degraded (l "waited past its deadline") "timeout" a
+          | _ -> Alcotest.fail "two answers");
+          clean (l "exact after the timeout") eng q;
+          (match with_faults (fun () -> batch eng [ q ]) with
+          | [ a ] -> degraded (l "engine.query fault") "fault" a
+          | _ -> Alcotest.fail "one answer");
+          clean (l "exact after the fault") eng q;
+          (* a fault trips the breaker (threshold 1, no cooldown); the
+             next batch's first query is its probe, which fails, and
+             [q] behind it is short-circuited *)
+          (match
+             with_faults (fun () ->
+                 ignore (batch eng [ victim ]);
+                 batch eng [ victim; q ])
+           with
+          | [ p; a ] ->
+              degraded (l "failed probe") "fault" p;
+              degraded (l "behind the failed probe") "circuit" a
+          | _ -> Alcotest.fail "two answers");
+          clean (l "exact after the failed probe") eng q)
+        [ "cold"; "recorded" ])
+    qs;
+  (* an [on_embedding] hang times the hung query out while it runs
+     plans; its next clean sighting runs the kept plans, and once that
+     answer is recorded, no plan (and no hook) runs again *)
+  let eng = session () in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  List.iteri
+    (fun i q ->
+      if n_emb q >= 2 then begin
+        let l what = Printf.sprintf "hung q%d: %s" i what in
+        hung := [ q ];
+        (match batch ~timeout_s:0.01 eng [ q ] with
+        | [ a ] -> degraded (l "timed out") "timeout" a
+        | _ -> Alcotest.fail "one answer");
+        hung := [];
+        clean (l "exact after the hang") eng q;
+        hung := [ q ];
+        let calls = !hook_calls in
+        clean (l "recorded answer, hook armed") eng q;
+        Alcotest.(check int) (l "hook not called") calls !hook_calls;
+        hung := []
+      end)
+    (victim :: qs);
+  let eng =
+    get (Engine.of_sketch ~timeout_s:60.0 ~max_embeddings:0 sk)
+  in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  List.iteri
+    (fun i q ->
+      for k = 1 to 3 do
+        match batch eng [ q ] with
+        | [ a ] -> degraded (Printf.sprintf "guarded q%d sighting %d" i k) "guard" a
+        | _ -> Alcotest.fail "one answer"
+      done)
+    qs
 
 (* a session miss passes both fill points, embedding first: with each
    point failing its first arrival in every query's scope, every query
@@ -524,6 +685,8 @@ let () =
             test_breaker_trips_and_recovers;
           Alcotest.test_case "cardinality guard degrades" `Quick
             test_guard_degrades;
+          Alcotest.test_case "degraded answers are never recorded" `Quick
+            test_degraded_answers_not_recorded;
           Alcotest.test_case "both fill points fire on session misses" `Quick
             test_both_fill_points_fire;
           QCheck_alcotest.to_alcotest prop_engine_never_raises;

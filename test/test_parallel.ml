@@ -243,33 +243,118 @@ let get = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Xerror.to_string e)
 
+(* A batch holding a cold query twice, sent twice to one session: the
+   first send runs plans at every sighting, the repeat included (answers
+   are recorded only after the batch's jobs join), and the second send
+   reads the recorded answers and runs none. Pooled sessions (2 and 4
+   domains) agree with a sequential one in answers, tiers, embedding
+   counts, plan runs and retries. *)
 let test_engine_batch_differential () =
   let doc = Lazy.force imdb in
   let sk = build_small doc in
   let qs = queries_for doc 30 in
+  let qs = qs @ [ List.hd qs ] in
+  let runs () = Xtwig_util.Counters.get "plan.runs" in
   let run jobs =
     let eng = get (Engine.of_sketch ~jobs sk) in
     Fun.protect
       ~finally:(fun () -> Engine.close eng)
-      (fun () -> get (Engine.estimate_batch eng qs))
+      (fun () ->
+        List.map
+          (fun _ ->
+            let r0 = runs () in
+            let answers = get (Engine.estimate_batch eng qs) in
+            (answers, runs () - r0))
+          [ 1; 2 ])
   in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check int) "answer count" (List.length seq) (List.length par);
-  List.iter2
-    (fun (a : Engine.answer) (b : Engine.answer) ->
-      Alcotest.(check bool)
-        "same query order" true
-        (a.Engine.query == b.Engine.query);
-      Alcotest.(check bool) "no fallback" false (a.fallback || b.fallback);
-      Alcotest.(check (float 0.0))
-        "bit-identical estimate" a.Engine.estimate b.Engine.estimate)
-    seq par;
-  (* and both agree with the one-shot estimator *)
-  List.iter2
-    (fun q (a : Engine.answer) ->
-      Alcotest.(check (float 1e-9)) "matches Estimator.estimate"
-        (Est.estimate sk q) a.Engine.estimate)
-    qs seq
+  let seq = run 1 in
+  let embeddings answers =
+    List.fold_left
+      (fun n (a : Engine.answer) -> n + a.Engine.provenance.Engine.pv_embeddings)
+      0 answers
+  in
+  (match seq with
+  | [ (first, first_runs); (second, second_runs) ] ->
+      Alcotest.(check bool) "some embeddings" true (embeddings first > 0);
+      Alcotest.(check int) "first send runs every sighting's plans"
+        (embeddings first) first_runs;
+      Alcotest.(check int) "second send runs no plan" 0 second_runs;
+      Alcotest.(check int) "second send, same embedding counts"
+        (embeddings first) (embeddings second)
+  | _ -> Alcotest.fail "two sends");
+  List.iter
+    (fun jobs ->
+      let l what = Printf.sprintf "jobs=%d: %s" jobs what in
+      List.iter2
+        (fun (sa, sruns) (ja, jruns) ->
+          Alcotest.(check int) (l "plan runs") sruns jruns;
+          Alcotest.(check int) (l "answer count") (List.length sa) (List.length ja);
+          List.iter2
+            (fun (a : Engine.answer) (b : Engine.answer) ->
+              let pa = a.Engine.provenance and pb = b.Engine.provenance in
+              Alcotest.(check bool)
+                (l "same query order") true
+                (a.Engine.query == b.Engine.query);
+              Alcotest.(check bool) (l "no fallback") false (a.fallback || b.fallback);
+              Alcotest.(check (float 0.0))
+                (l "bit-identical estimate") a.Engine.estimate b.Engine.estimate;
+              Alcotest.(check string) (l "tier")
+                (Engine.tier_label pa.Engine.pv_tier)
+                (Engine.tier_label pb.Engine.pv_tier);
+              Alcotest.(check int) (l "embeddings") pa.Engine.pv_embeddings
+                pb.Engine.pv_embeddings;
+              Alcotest.(check int) (l "retries") a.Engine.retries b.Engine.retries)
+            sa ja)
+        seq (run jobs))
+    [ 2; 4 ];
+  (* and both agree with the one-shot estimator, bit for bit *)
+  List.iter
+    (fun (answers, _) ->
+      List.iter2
+        (fun q (a : Engine.answer) ->
+          Alcotest.(check (float 0.0)) "matches Estimator.estimate"
+            (Est.estimate sk q) a.Engine.estimate)
+        qs answers)
+    seq
+
+(* Nothing is recorded before a batch's jobs join: a lookup made while
+   the batch still evaluates finds the plans of a query the batch has
+   already answered. On a one-domain session the [on_embedding] hook
+   runs on the owner, so it can make that lookup with a nested call. *)
+let test_engine_records_after_join () =
+  let doc = Lazy.force imdb in
+  let sk = build_small doc in
+  let syn = Sketch.synopsis sk in
+  let a, b =
+    match
+      List.filter
+        (fun q -> Embed.embeddings syn q <> [])
+        (List.sort_uniq compare (queries_for doc 10))
+    with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "two queries with embeddings"
+  in
+  let session = ref None and nested = ref None in
+  let peek q =
+    match (!session, !nested) with
+    | Some eng, None when q == b ->
+        let r0 = Xtwig_util.Counters.get "plan.runs" in
+        let ans = get (Engine.estimate eng a) in
+        nested := Some (ans, Xtwig_util.Counters.get "plan.runs" - r0)
+    | _ -> ()
+  in
+  let eng = get (Engine.of_sketch ~jobs:1 ~on_embedding:peek sk) in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  session := Some eng;
+  let answers = get (Engine.estimate_batch eng [ a; b ]) in
+  session := None;
+  match (answers, !nested) with
+  | [ first; _ ], Some (ans, ran) ->
+      Alcotest.(check int) "the nested lookup ran the plans"
+        first.Engine.provenance.Engine.pv_embeddings ran;
+      Alcotest.(check (float 0.0)) "and got the same answer"
+        first.Engine.estimate ans.Engine.estimate
+  | _ -> Alcotest.fail "the hook never ran"
 
 let test_engine_timeout_fallback () =
   let doc = Lazy.force imdb in
@@ -435,6 +520,8 @@ let () =
         [
           Alcotest.test_case "batch parallel == sequential" `Quick
             test_engine_batch_differential;
+          Alcotest.test_case "answers recorded after the join" `Quick
+            test_engine_records_after_join;
           Alcotest.test_case "hung query degrades to coarse" `Quick
             test_engine_timeout_fallback;
           Alcotest.test_case "expired deadline degrades all" `Quick

@@ -1,8 +1,9 @@
 (* Compiled-plan tests: plans compiled against a sketch must be
    bit-identical to [Estimator.estimate] (the recursive evaluator) —
    across datasets, P and P+V workloads and refinement budgets — and
-   an engine session must compile each query once, then serve the
-   cached plans, correctly, also when its fills fail and retry. *)
+   an engine session must compile and run each query once, then serve
+   the recorded answer, correctly, also when its fills fail and
+   retry. *)
 
 module Sketch = Xtwig_sketch.Sketch
 module Embed = Xtwig_sketch.Embed
@@ -81,7 +82,9 @@ let test_compiled_equals_reference () =
 
 (* 2. A session compiles a query on its first sighting only: the
    second estimate of every query is one table hit and nothing else
-   (no enumeration, no compile, no miss), reports the cache_hit tier,
+   (no enumeration, no compile, no miss, and no plan run: the first
+   sighting's answer was recorded), reports the cache_hit tier with
+   the cold call's embedding count and 0 ns compiling and running,
    and returns the first answer bit for bit — both equal to the
    evaluator. *)
 let test_plan_cache_hits () =
@@ -89,6 +92,8 @@ let test_plan_cache_hits () =
   let sk = refined doc ~budget_mult:4 in
   let eng = open_session sk in
   Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  let bits = Int64.bits_of_float in
+  let embedded = ref 0 in
   List.iteri
     (fun i q ->
       let expected = Est.estimate sk q in
@@ -96,13 +101,17 @@ let test_plan_cache_hits () =
       let c0 = Counters.get "plan.compiles" in
       let h0 = Counters.get "plan.cache_hits" in
       let e0 = Counters.get "embed.ns" and m0 = Counters.get "plan.cache_misses" in
+      let r0 = Counters.get "plan.runs" and rn0 = Counters.get "plan.run_ns" in
       let warm = session_estimate eng q in
-      Alcotest.(check (float 0.0))
+      let pv = warm.Engine.provenance in
+      let n = cold.Engine.provenance.Engine.pv_embeddings in
+      if n > 0 then incr embedded;
+      Alcotest.(check int64)
         (Printf.sprintf "cold estimate: q%d" i)
-        expected cold.Engine.estimate;
-      Alcotest.(check (float 0.0))
+        (bits expected) (bits cold.Engine.estimate);
+      Alcotest.(check int64)
         (Printf.sprintf "warm estimate: q%d" i)
-        cold.Engine.estimate warm.Engine.estimate;
+        (bits expected) (bits warm.Engine.estimate);
       Alcotest.(check int)
         (Printf.sprintf "second sighting compiles nothing: q%d" i)
         0
@@ -118,11 +127,20 @@ let test_plan_cache_hits () =
         (Printf.sprintf "second sighting misses nothing: q%d" i)
         m0
         (Counters.get "plan.cache_misses");
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "second sighting runs no plan: q%d" i)
+        (r0, rn0)
+        (Counters.get "plan.runs", Counters.get "plan.run_ns");
       Alcotest.(check string)
         (Printf.sprintf "second sighting tier: q%d" i)
         "cache_hit"
-        (Engine.tier_label warm.Engine.provenance.Engine.pv_tier))
-    (queries_of doc)
+        (Engine.tier_label pv.Engine.pv_tier);
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "second sighting embeddings, compile and run ns: q%d" i)
+        (n, 0, 0)
+        (pv.Engine.pv_embeddings, pv.Engine.pv_compile_ns, pv.Engine.pv_run_ns))
+    (queries_of doc);
+  Alcotest.(check bool) "some query has embeddings" true (!embedded > 0)
 
 (* 3. The interpreter is a zero-allocation kernel: once the per-domain
    arena has grown to the largest plan, a [run_batch] over every plan
