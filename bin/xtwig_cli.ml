@@ -586,12 +586,23 @@ let bench_batch_cmd =
                  { Wgen.paper_p with Wgen.n_queries = n }
                  (Prng.create 99) doc
              in
+             (* the plan counters before the batch: building the
+                sketch compiled and ran XBUILD's one-shot plans *)
+             let cv key = Xtwig_util.Counters.(value (counter key)) in
+             let c0 = cv "plan.compiles" and h0 = cv "plan.cache_hits" in
+             let r0 = cv "plan.runs" and ns0 = cv "plan.compile_ns" in
              let t0 = Unix.gettimeofday () in
              let answers = Engine.estimate_batch engine qs in
              let wall = Unix.gettimeofday () -. t0 in
-             Result.map (fun a -> (a, wall, Engine.stats engine)) answers)
+             let plans =
+               ( cv "plan.compiles" - c0,
+                 cv "plan.cache_hits" - h0,
+                 cv "plan.runs" - r0,
+                 cv "plan.compile_ns" - ns0 )
+             in
+             Result.map (fun a -> (a, wall, Engine.stats engine, plans)) answers)
        in
-       let* answers, wall, st = result in
+       let* answers, wall, st, (compiles, hits, runs, compile_ns) = result in
        let n_answers = List.length answers in
        Format.printf "engine: %d jobs, synopsis %d bytes (built in %.2fs)@."
          st.Engine.jobs st.Engine.sketch_bytes st.Engine.build_s;
@@ -599,14 +610,13 @@ let bench_batch_cmd =
          n_answers wall
          (float_of_int n_answers /. Float.max 1e-9 wall)
          st.Engine.timeouts;
-       (* the session table over the batch: XBUILD compiles nothing,
-          so every compile is a distinct query's first sighting, and
-          every sighting in this one batch runs its plans (answers are
-          recorded only once a batch's jobs join; see DESIGN.md §12) *)
-       let cv key = Xtwig_util.Counters.(value (counter key)) in
+       (* the batch's plans: every session compile is a distinct
+          query's first sighting, and every sighting in this one batch
+          runs its plans (answers are recorded only once a batch's jobs
+          join; see DESIGN.md §12) *)
        Format.printf "plans:  %d compiled, %d cache hits, %d runs (compile %.1fms)@."
-         (cv "plan.compiles") (cv "plan.cache_hits") (cv "plan.runs")
-         (float_of_int (cv "plan.compile_ns") /. 1e6);
+         compiles hits runs
+         (float_of_int compile_ns /. 1e6);
        Ok ())
   in
   Cmd.v

@@ -31,7 +31,7 @@ let size_bytes (Instance ((module M), v)) = M.size_bytes v
 (* XSKETCH: the paper's estimator, behind the generic surface, for
    callers that want it through the same door every other backend uses.
    It keeps no caches: every [estimate] enumerates the twig's embeddings
-   and runs the recursive evaluator over them ([Estimator.estimate]).
+   and compiles, runs and drops a plan for each ([Estimator.estimate]).
    The engine's session path (Engine.of_sketch) bypasses this module on
    purpose: a session compiles each distinct query once against one
    shared compile context, runs its plans until they answer clean and

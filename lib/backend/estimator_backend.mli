@@ -59,10 +59,10 @@ val size_bytes : instance -> int
 module Xsketch : S
 (** The paper's estimator: XBUILD construction, TREEPARSE estimation,
     [Sketch_io] persistence. [estimate] is one-shot: it enumerates the
-    twig's embeddings and runs the recursive evaluator
-    ({!Xtwig_sketch.Estimator.estimate}), compiling no plans — this is
-    the path [Xtwig.optimize]'s costing takes. [coarse] is the
-    label-split estimate (built lazily, once). *)
+    twig's embeddings, compiles and runs a plan for each and keeps
+    none ({!Xtwig_sketch.Estimator.estimate}) — this is the path
+    [Xtwig.optimize]'s costing takes. [coarse] is the label-split
+    estimate (built lazily, once). *)
 
 module Cst : S
 (** The correlated-suffix-tree baseline. No persistent format;

@@ -252,8 +252,9 @@ let backoff t k =
   if d > 0.0 then Unix.sleepf d
 
 (* The coarse estimate is the degradation floor; if even that fails
-   (for XSKETCH it is pure arithmetic, so only a fault-injection hook
-   or a genuine bug could make it raise) the engine still answers. *)
+   (for XSKETCH it is a one-shot estimate, pure arithmetic, so only a
+   fault-injection hook or a genuine bug could make it raise) the
+   engine still answers. *)
 let coarse_estimate t q =
   match t.core with
   | Sk { coarse; _ } -> ( try Est.estimate coarse q with _ -> 0.0)
@@ -287,15 +288,15 @@ let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
 (* Evaluate one query through its pre-compiled plans (one per
    embedding), checking the deadline between embedding contributions
    (runs on a worker when the session has a pool). The sum visits
-   plans in enumeration order — identical to Estimator.estimate's
-   fold, so jobs > 1 changes scheduling, never values. One clock pair
-   per query times the plan runs into [plan.run_ns] and the answer's
-   provenance. A recorded answer runs nothing: it passes the same
-   fault point and deadline check, so fault scenarios and the breaker
-   see the same outcomes, and returns the recorded sum. A raising
-   evaluation (injected fault at [engine.query], a panicking
-   [on_embedding] hook) is retried with backoff, then degraded to the
-   coarse estimate — never propagated. *)
+   plans in enumeration order — the same fold as the one-shot
+   Plan.estimate_roots behind Estimator.estimate, so jobs > 1 changes
+   scheduling, never values. One clock pair per query times the plan
+   runs into [plan.run_ns] and the answer's provenance. A recorded
+   answer runs nothing: it passes the same fault point and deadline
+   check, so fault scenarios and the breaker see the same outcomes,
+   and returns the recorded sum. A raising evaluation (injected fault
+   at [engine.query], a panicking [on_embedding] hook) is retried with
+   backoff, then degraded to the coarse estimate — never propagated. *)
 let eval_one t ~trace_id ~deadline q held pv =
   Trace.with_span ~name:"engine.query" ~args:(trace_args trace_id)
   @@ fun () ->

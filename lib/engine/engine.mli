@@ -10,7 +10,7 @@
     {!Xtwig_util.Pool} of worker domains that evaluates the queries of
     a batch concurrently.
 
-    A session is the one place plans are compiled
+    A session is the one place plans are kept
     ({!Xtwig_sketch.Plan}). An estimate is a pure function of the
     sketch and the twig, so each distinct query compiles and runs
     once: a query compiles on its first sighting, its plans run until
@@ -19,7 +19,8 @@
     ({!Xtwig_path.Path_types.Twig_tbl}), so a warm call costs one hash
     and one equality check and runs no plan. Everything else a session
     computes once — the coarse fallback, XBUILD's estimates in
-    {!create} — runs the recursive evaluator.
+    {!create} — is a one-shot {!Xtwig_sketch.Estimator.estimate},
+    which compiles, runs and drops its plans and keeps nothing.
 
     {2 Concurrency model}
 

@@ -151,40 +151,6 @@ let compatible b ctx =
       v >= float_of_int b.lo.(d) -. 0.5 && v <= float_of_int b.hi.(d) +. 0.5)
     ctx
 
-let ctx_distance b ctx =
-  List.fold_left
-    (fun a (d, v) ->
-      let dx = b.mean.(d) -. v in
-      a +. (dx *. dx))
-    0.0 ctx
-
-let enum_buckets t ~ctx =
-  match t.buckets with
-  | [] -> []
-  | all -> (
-      match ctx with
-      | [] -> List.map (fun b -> (b.frac, b)) all
-      | _ -> (
-          let ok = List.filter (fun b -> compatible b ctx) all in
-          match ok with
-          | [] ->
-              (* nearest-bucket fallback so estimates never drop to 0
-                 because two bucketizations disagree *)
-              let best =
-                List.fold_left
-                  (fun acc b ->
-                    match acc with
-                    | Some (d0, _) when d0 <= ctx_distance b ctx -> acc
-                    | _ -> Some (ctx_distance b ctx, b))
-                  None all
-              in
-              (match best with Some (_, b) -> [ (1.0, b) ] | None -> [])
-          | _ ->
-              let mass = List.fold_left (fun a b -> a +. b.frac) 0.0 ok in
-              List.map (fun b -> (b.frac /. mass, b)) ok))
-
-let enum t ~ctx = List.map (fun (w, b) -> (w, b.mean)) (enum_buckets t ~ctx)
-
 let p_ge1 b d =
   if b.lo.(d) >= 1 then 1.0
   else if b.hi.(d) = 0 then 0.0

@@ -39,22 +39,6 @@ val total_frac : t -> float
 val is_exact : t -> bool
 (** True when every bucket holds a single distinct vector. *)
 
-val enum : t -> ctx:(int * float) list -> (float * float array) list
-(** Conditional enumeration: the buckets compatible with the context
-    (a [dim -> value] partial assignment), with their fractions
-    renormalized to sum to 1, paired with their mean vectors. A bucket
-    is compatible when the context value falls within its per-
-    dimension range (±0.5 slack). If no bucket is compatible, the
-    nearest bucket by mean distance on the context dimensions is
-    returned with weight 1 — the estimator must not lose mass merely
-    because bucketizations disagree. [ctx = \[\]] enumerates all
-    buckets. Empty histograms enumerate nothing. *)
-
-val enum_buckets : t -> ctx:(int * float) list -> (float * bucket) list
-(** As {!enum}, but returning the full buckets, so callers can read
-    per-dimension bounds (e.g. to bound [P(count >= 1)] within a
-    bucket). *)
-
 val p_ge1 : bucket -> int -> float
 (** [P(count on dim >= 1)] within a bucket: 1 when the bucket's lower
     bound is >= 1, 0 when its upper bound is 0, and the capped mean
@@ -62,9 +46,12 @@ val p_ge1 : bucket -> int -> float
     single-point buckets. *)
 
 val marginal_frac : t -> ctx:(int * float) list -> float
-(** Unnormalized mass of the context-compatible buckets — the
+(** Unnormalized mass of the buckets compatible with the context (a
+    [dim -> value] partial assignment): those whose per-dimension range
+    holds each context value, with ±0.5 slack. This is the
     [H_i(C ∩ C')] denominator of the Correlation-Scope Independence
-    assumption. *)
+    assumption, by which the estimator renormalizes the compatible
+    buckets. *)
 
 val expected_product : t -> over:int list -> float
 (** [Σ_b frac(b) · Π_{d ∈ over} mean_b(d)]; repeats allowed. *)
@@ -73,10 +60,15 @@ val mean : t -> int -> float
 
 (** {1 Flat bucket tables}
 
-    The compiled estimation kernel (see [lib/xsketch/plan.ml]) iterates
-    buckets in tight array loops. {!table} lays the bucket list out as
-    dense arrays, once per histogram: the per-histogram memo field
-    makes repeated calls free. *)
+    The estimation kernel (see [lib/xsketch/plan.ml]) iterates buckets
+    in tight array loops. Under a context it enumerates the compatible
+    buckets (as in {!marginal_frac}) with their fractions renormalized
+    to sum to 1; when none is compatible, it takes the nearest bucket
+    by squared mean distance on the context dimensions with weight 1,
+    so an estimate never loses mass merely because two bucketizations
+    disagree. {!table} lays the bucket list out as dense arrays, once
+    per histogram: the per-histogram memo field makes repeated calls
+    free. *)
 
 type table = private {
   tdims : int;

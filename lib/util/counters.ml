@@ -26,8 +26,7 @@ let time t f =
 
 (* ------------------------------------------------------------------ *)
 
-let reset_all () = Metrics.reset_all ()
-let reset = reset_all
+let reset () = Metrics.reset_all ()
 
 let label_suffix = function
   | [] -> ""
@@ -44,8 +43,6 @@ let snapshot () =
       | Metrics.Counter n -> Some (e.Metrics.name ^ label_suffix e.Metrics.labels, n)
       | _ -> None)
     (Metrics.snapshot ())
-
-let all = snapshot
 
 let get name =
   match List.assoc_opt name (snapshot ()) with Some v -> v | None -> 0

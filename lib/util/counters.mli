@@ -52,17 +52,11 @@ val reset : unit -> unit
     including gauges and histograms (values only; registration is
     kept). *)
 
-val reset_all : unit -> unit
-(** Alias of {!reset} (the original name). *)
-
 val snapshot : unit -> (string * int) list
 (** Every registered counter cell with its current value, sorted by
     name; labeled [Metrics] counters appear as [name{k=v,...}].
     Prefer {!Xtwig_obs.Metrics.snapshot}/[diff] for before/after
     deltas — it also carries gauges and histograms. *)
-
-val all : unit -> (string * int) list
-(** Alias of {!snapshot} (the original name). *)
 
 val get : string -> int
 (** Current value of the named counter; 0 when never registered. *)

@@ -2,8 +2,12 @@
     (Section 4).
 
     The estimate of a query is the sum of the estimates of its
-    embeddings. Each embedding is evaluated by a top-down traversal
-    that mirrors the TREEPARSE decomposition:
+    embeddings. Each embedding is compiled into a plan ({!Plan}) that
+    evaluates a top-down traversal mirroring the TREEPARSE
+    decomposition; sums over each twig child's alternative
+    assignments are distributed through the product over children (per
+    bucket), which evaluates the full cross product of assignments
+    without materializing it:
 
     - at each embedding node, histogram dimensions matching edges
       already expanded upstream form the correlation set [D] and
@@ -32,29 +36,20 @@
     zero-error property the paper derives for full distribution
     information). *)
 
-val estimate_embedding : Sketch.t -> Embed.enode -> float
-(** Estimate for one factored embedding: sums over each twig child's
-    alternative assignments are distributed through the product over
-    children (per bucket), which evaluates the full cross product of
-    assignments without materializing it. This recursive evaluator is
-    the production path for one-shot estimates; an engine session
-    compiles the same traversal into flat plans ({!Plan}) whose result
-    is bit-identical by construction. *)
-
 val estimate :
   ?cache:Embed.cache ->
   Sketch.t ->
   Xtwig_path.Path_types.twig ->
   float
 (** Sum over all embeddings of the query, in enumeration order, each
-    through {!estimate_embedding}; timed under [estimator.ns]. When
-    [cache] is given and keyed to this sketch's synopsis, the
-    embedding enumeration is shared across calls (and across the
-    sketches of one XBUILD scoring step, which differ only in
-    histograms). Estimates are identical with or without it. Compiles
-    nothing: only an engine session compiles, against one compile
-    context for its sketch, and it runs each distinct query's plans
-    once and keeps the answer (DESIGN.md §12). *)
+    compiled into a plan, run and dropped ({!Plan.estimate_roots});
+    timed under [estimator.ns]. When [cache] is given and keyed to
+    this sketch's synopsis, the embedding enumeration is shared across
+    calls (and across the sketches of one XBUILD scoring step, which
+    differ only in histograms). Estimates are identical with or
+    without it. Keeps no plan: an engine session keeps a query's
+    plans until they answer clean and then only their sum
+    (DESIGN.md §12). *)
 
 val estimate_path : Sketch.t -> Xtwig_path.Path_types.path -> float
 (** Single-path-expression cardinality (a chain twig). *)
@@ -62,4 +57,5 @@ val estimate_path : Sketch.t -> Xtwig_path.Path_types.path -> float
 val existence_frac : Sketch.t -> int -> Embed.ebranch list -> float
 (** [existence_frac t u alts]: estimated fraction of node [u]'s
     elements with at least one match of a branching predicate, given
-    the predicate's alternative embeddings. Exposed for tests. *)
+    the predicate's alternative embeddings ({!Plan.branch_frac}).
+    Exposed for tests. *)

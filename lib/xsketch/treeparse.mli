@@ -13,8 +13,9 @@
       histograms already covered upstream — these condition the
       node's distribution on its ancestors' expansion.
 
-    {!Estimator} implements the same decomposition operationally; this
-    module exposes it declaratively, mainly for tests and inspection. *)
+    {!Plan} compiles the same decomposition into the estimation
+    kernel; this module exposes it declaratively, mainly for tests and
+    inspection. *)
 
 type sets = {
   expansion : (int * int) list;  (** E_i, as synopsis edges *)

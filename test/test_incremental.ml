@@ -112,13 +112,13 @@ let test_incremental_equals_scratch () =
    reuses histograms across the split. *)
 let test_counters_show_reuse () =
   let base = Lazy.force base in
-  Counters.reset_all ();
+  Counters.reset ();
   let _op, applied = op_of_kind base `Edge_refine in
   assert (applied != base);
   Alcotest.(check bool)
     "Edge_refine reuses same-synopsis histograms" true
     (Counters.get "sketch.ehists_reused" > 0);
-  Counters.reset_all ();
+  Counters.reset ();
   let _op, applied = op_of_kind base `F_stabilize in
   assert (applied != base);
   Alcotest.(check bool)
@@ -130,7 +130,7 @@ let test_embed_cache_identical () =
   let base = Lazy.force base in
   let queries = Lazy.force queries in
   let cache = Embed.create_cache (Sketch.synopsis base) in
-  Counters.reset_all ();
+  Counters.reset ();
   List.iter
     (fun q ->
       let plain = Est.estimate base q in

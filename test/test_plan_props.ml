@@ -1,12 +1,12 @@
 (* Property test for compiled plans over refinement candidates: for
    every refinement-op kind XBUILD samples, plans compiled against the
-   refined sketch are bit-equal to the recursive evaluator on it. *)
+   refined sketch are bit-equal to the recursive reference evaluator
+   (test/estimate_reference.ml) on it. *)
 
 module Testgen = Xtwig_testgen.Testgen
 module Sketch = Xtwig_sketch.Sketch
 module Refinement = Xtwig_sketch.Refinement
 module Embed = Xtwig_sketch.Embed
-module Est = Xtwig_sketch.Estimator
 module Plan = Xtwig_sketch.Plan
 module Wgen = Xtwig_workload.Wgen
 module Prng = Xtwig_util.Prng
@@ -36,7 +36,7 @@ let prop_refined_candidates =
                   0.0
                   (Plan.compile_roots refined (Embed.embeddings syn q))
               in
-              Float.equal compiled (Est.estimate refined q)
+              Float.equal compiled (Estimate_reference.estimate refined q)
               || QCheck2.Test.fail_reportf "estimates diverge under %s"
                    (Refinement.kind_name op))
             queries)

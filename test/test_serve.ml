@@ -203,7 +203,8 @@ let queries =
     "for t0 in //movie[genre], t1 in t0/keyword";
   ]
 
-let with_server ?(queue_cap = 64) ?(slo = []) tenants f =
+(* a server on a fresh socket path, for the duration of [f sock] *)
+let with_server_at ?(queue_cap = 64) ?(slo = []) tenants f =
   let sock = temp_path ".sock" in
   let cfg = { Server.default_config with listen = `Unix sock; queue_cap; slo } in
   let server = ok_exn (Server.create cfg tenants) in
@@ -212,7 +213,10 @@ let with_server ?(queue_cap = 64) ?(slo = []) tenants f =
     ~finally:(fun () ->
       Server.stop server;
       Thread.join th)
-    (fun () ->
+    (fun () -> f sock)
+
+let with_server ?queue_cap ?slo tenants f =
+  with_server_at ?queue_cap ?slo tenants (fun sock ->
       let client = ok_exn (P.Client.connect_unix sock) in
       Fun.protect ~finally:(fun () -> P.Client.close client) (fun () -> f client))
 
@@ -336,23 +340,46 @@ let test_reload_failure_keeps_serving () =
 
 let test_overload_sheds_typed () =
   let c = Lazy.force corpus in
-  with_server ~queue_cap:2
+  with_server_at ~queue_cap:2
     [ ("movies", Catalog.source ~sketch_path:c.sk_a c.doc_path) ]
-    (fun client ->
-      (* pipeline many requests in one burst without reading: the
-         server reads them in one tick, admits up to the cap and sheds
-         the rest with a typed overload error *)
+    (fun sock ->
+      (* every request framed into one buffer and written with one
+         [Unix.write] on a raw connection: the server's first read
+         holds all of them, admits up to the cap and sheds the rest
+         with a typed overload error *)
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
       let n = 24 in
-      for id = 1 to n do
-        ok_exn
-          (P.Client.send client ~id
-             (P.Estimate
-                { tenant = "movies"; query = List.hd queries; trace = None }))
-      done;
+      let burst =
+        String.concat ""
+          (List.init n (fun i ->
+               P.frame
+                 (P.encode_request ~id:(i + 1)
+                    (P.Estimate
+                       { tenant = "movies"; query = List.hd queries; trace = None }))))
+      in
+      let len = String.length burst in
+      Alcotest.(check int) "one write carries the burst" len
+        (Unix.write_substring fd burst 0 len);
+      let dec = P.decoder () and buf = Bytes.create 65536 in
+      let rec recv () =
+        match P.next_frame dec with
+        | Ok (Some payload) -> (
+            match P.decode_response payload with
+            | Ok r -> r
+            | Error m -> Alcotest.fail m)
+        | Ok None ->
+            let k = Unix.read fd buf 0 (Bytes.length buf) in
+            if k = 0 then Alcotest.fail "connection closed by server";
+            P.feed dec buf k;
+            recv ()
+        | Error m -> Alcotest.fail m
+      in
       let shed = ref 0 and served = ref 0 in
       let seen = Hashtbl.create n in
       for _ = 1 to n do
-        let id, resp = ok_exn (P.Client.recv client) in
+        let id, resp = recv () in
         Alcotest.(check bool) "fresh id" false (Hashtbl.mem seen id);
         Hashtbl.add seen id ();
         match resp with
@@ -368,8 +395,12 @@ let test_overload_sheds_typed () =
       Alcotest.(check int) "all answered" n (!served + !shed);
       Alcotest.(check bool) "some served" true (!served > 0);
       Alcotest.(check bool) "some shed" true (!shed > 0);
-      let pong = call_ok client ~id:1000 P.Ping in
-      Alcotest.(check string) "connection survives" ("pong " ^ Xtwig.version) pong;
+      let ping = P.frame (P.encode_request ~id:1000 P.Ping) in
+      ignore (Unix.write_substring fd ping 0 (String.length ping));
+      (match recv () with
+      | 1000, P.Reply pong ->
+          Alcotest.(check string) "connection survives" ("pong " ^ Xtwig.version) pong
+      | id, _ -> Alcotest.failf "connection survives: reply %d to the ping" id);
       (* the queue-depth gauge tracks the queue through shed decisions
          as well as drains: with everything answered it reads 0 *)
       let depth =

@@ -97,17 +97,23 @@ let test_workload_error_helper () =
   Alcotest.(check (float 1e-9)) "empty workload" 0.0
     (Xbuild.workload_error coarse ~truth [])
 
-(* Only engine sessions compile plans: XBUILD scores each candidate once
-   per query through the recursive evaluator, so a build moves neither
-   plan counter. The compile afterwards is the control showing the
-   counters are live in this process. *)
-let test_build_compiles_no_plans () =
+(* XBUILD scores each candidate once per query through one-shot
+   estimates: every plan a build compiles runs exactly once and is
+   dropped, and no session table is looked up. The compile afterwards
+   is the control showing the counters are live in this process. *)
+let test_build_plans_run_once () =
   let compiles () = Counters.get "plan.compiles" in
   let runs () = Counters.get "plan.runs" in
-  let c0 = compiles () and r0 = runs () in
+  let lookups () = (Counters.get "plan.cache_hits", Counters.get "plan.cache_misses") in
+  let c0 = compiles () and r0 = runs () and l0 = lookups () in
   let sk = build ~budget:2500 ~max_steps:10 () in
-  Alcotest.(check int) "plan.compiles over Xbuild.build" 0 (compiles () - c0);
-  Alcotest.(check int) "plan.runs over Xbuild.build" 0 (runs () - r0);
+  let compiled = compiles () - c0 in
+  Alcotest.(check bool) "Xbuild.build compiles plans" true (compiled > 0);
+  Alcotest.(check int) "plan.runs = plan.compiles over Xbuild.build" compiled
+    (runs () - r0);
+  Alcotest.(check (pair int int))
+    "plan.cache_hits and plan.cache_misses over Xbuild.build" l0 (lookups ());
+  let c1 = compiles () in
   let plans =
     Array.concat
       (List.map
@@ -116,7 +122,7 @@ let test_build_compiles_no_plans () =
   in
   Alcotest.(check bool) "control: some plans compiled" true (Array.length plans > 0);
   Alcotest.(check int) "control: the compile counter is live" (Array.length plans)
-    (compiles () - c0)
+    (compiles () - c1)
 
 (* ---------------- golden builds ---------------- *)
 
@@ -214,8 +220,8 @@ let () =
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "max steps" `Slow test_max_steps;
           Alcotest.test_case "workload_error helper" `Quick test_workload_error_helper;
-          Alcotest.test_case "build compiles no plans" `Slow
-            test_build_compiles_no_plans;
+          Alcotest.test_case "build runs each plan once, no table" `Slow
+            test_build_plans_run_once;
         ] );
       ( "golden",
         [
