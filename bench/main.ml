@@ -298,13 +298,15 @@ let ablation () =
       let hist_err =
         (* L1 distance between true frequencies and bucket-uniform mass *)
         let approx = Array.make (max_count + 1) 0.0 in
-        List.iter
-          (fun (b : Xtwig_hist.Edge_hist.bucket) ->
-            let span = b.hi.(0) - b.lo.(0) + 1 in
-            for c = b.lo.(0) to b.hi.(0) do
-              approx.(c) <- approx.(c) +. (b.frac /. float_of_int span)
-            done)
-          (Xtwig_hist.Edge_hist.buckets h);
+        for b = 0 to h.n - 1 do
+          (* one dimension; the bounds carry the ±0.5 slack *)
+          let lo = int_of_float (h.lo.(b) +. 0.5) in
+          let hi = int_of_float (h.hi.(b) -. 0.5) in
+          let span = hi - lo + 1 in
+          for c = lo to hi do
+            approx.(c) <- approx.(c) +. (h.frac.(b) /. float_of_int span)
+          done
+        done;
         Array.fold_left ( +. ) 0.0
           (Array.mapi (fun i f -> Float.abs (f -. approx.(i))) freq)
       in

@@ -6,9 +6,12 @@
    histograms need bucket enumeration, which kid alternatives depend
    on the enumerated combination, which environment entries are bound
    at each program point, the dense slot layout and the scratch-cell
-   layout of the interpreter — and reads the bucket tables, value
-   fractions, average fanouts, existence fractions and branch
-   constants it needs from the sketch.
+   layout of the interpreter — and reads the edge histograms, value
+   fractions, average fanouts and branch constants it needs from the
+   sketch. Histograms are read in place: [Edge_hist.t] is already
+   flat arrays. A node's branching predicates fold into one constant,
+   because every histogram dimension is an F-stable edge, on which
+   the bucket-conditioned P(count >= 1) is the existence fraction 1.0.
 
    The run-time interpreter [run] is a flat numeric kernel: per-node
    index arrays live in one preallocated int32 Bigarray slab, and all
@@ -54,7 +57,7 @@ type iarr = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
    dimension indices followed by [n_ctx] environment slots, [bind_off]
    likewise for the bound dimensions. *)
 type hplan = {
-  tb : Edge_hist.table;
+  tb : Edge_hist.t;
   n_ctx : int;
   ctx_off : int;
   n_bind : int;
@@ -76,24 +79,21 @@ type aplan = {
 
 type kplan = { k_dep : bool; alts : aplan array }
 
-(* One alternative of one branching predicate. [b_slot >= 0] reads the
-   bucket-conditioned P(count >= 1) from scratch; [b_default] is the
-   synopsis existence fraction, [b_nested] the compile-time-constant
-   nested factor (value predicate times nested branch fractions). *)
-type balt = { b_slot : int; b_default : float; b_nested : float }
-
 (* [scr] is the node's base offset in the float64 scratch arena:
    +0 result, +1 independent-kid product, +2 kid alternative sum,
-   +3 leaf factor, +4 branch-factor product, +5 branch alternative
-   sum, then one 5-cell block per enumeration level (including the
-   leaf level): +0 incoming weight, +1 combination sum, +2 compatible
-   mass, +3 best distance, +4 distance accumulator. *)
+   +3 leaf factor, then one 5-cell block per enumeration level
+   (including the leaf level): +0 incoming weight, +1 combination sum,
+   +2 compatible mass, +3 best distance, +4 distance accumulator.
+   [branch_const] is the product of the node's branching-predicate
+   fractions; [branch_dep] says where it is applied: as each bucket
+   combination's initial leaf factor when an enumerated histogram
+   covers a branch edge, else once at the node (the reference
+   evaluator's float order either way). *)
 type pnode = {
   kids : kplan array;
   enum : hplan array;
-  branches : balt array array;
   branch_dep : bool;
-  branch_const : float;  (* branch factor when [not branch_dep] *)
+  branch_const : float;
   scr : int;
 }
 
@@ -101,10 +101,7 @@ type t = {
   nodes : pnode array;  (* children before parents *)
   root : int;
   root_const : float;  (* extent size x root value fraction *)
-  n_slots : int;
-  n_fixed : int;
-  o_p1 : int;  (* scratch offset of the P(count>=1) slots (= n_slots) *)
-  o_fixed : int;  (* scratch offset of the fixed values (= 2*n_slots) *)
+  o_fixed : int;  (* scratch offset of the fixed values (= slot count) *)
   scr_len : int;  (* total scratch cells the kernel touches *)
   islab : iarr;  (* int32 slab: ctx/bind dims and slots *)
 }
@@ -485,18 +482,6 @@ let compile_in cx (root : enode) : t =
     incr n_nodes;
     i
   in
-  let compile_balt u (b : ebranch) =
-    let key = ekey u b.bnode in
-    {
-      b_slot = (if bound_mem key then slot_of key else -1);
-      b_default = Sketch.exist_frac sketch ~src:u ~dst:b.bnode;
-      b_nested =
-        List.fold_left
-          (fun acc pred -> acc *. branch_frac sketch b.bnode pred)
-          (vfrac sketch b.bnode b.bvpred)
-          b.bsubs;
-    }
-  in
   let rec compile_node (e : enode) : int =
     let n = e.snode in
     let hs = Sketch.hists sketch n in
@@ -633,7 +618,7 @@ let compile_in cx (root : enode) : t =
           done;
           rev_enum :=
             {
-              tb = Edge_hist.table h;
+              tb = h;
               n_ctx = !nctx;
               ctx_off;
               n_bind = !nbind;
@@ -650,30 +635,19 @@ let compile_in cx (root : enode) : t =
           List.iteri (fun i hp -> arr.(!n_enum - 1 - i) <- hp) !rev_enum;
           arr
     in
-    (* phase 3 — branching predicates. When no enumerated histogram
-       covers a branch edge the whole factor is a compile-time
-       constant (edge keys with source [n] cannot be bound upstream:
-       ancestors' dimensions never point at a descendant's children) *)
+    (* phase 3 — branching predicates: one compile-time constant. A
+       branch edge an enumerated histogram covers is one of its
+       dimensions, an F-stable edge, so the bucket-conditioned
+       P(count >= 1) the reference evaluator reads for it is 1.0, the
+       edge's existence fraction; [branch_dep] keeps only where the
+       constant enters the float order *)
     let branch_dep =
       Array.exists (fun ed -> mem_sorted ed enum_edges) branch_first_edges
     in
-    let branches =
-      Array.of_list
-        (List.map
-           (fun alts -> Array.of_list (List.map (compile_balt n) alts))
-           e.branches)
-    in
     let branch_const =
-      if branch_dep then 1.0
-      else
-        Array.fold_left
-          (fun acc (alts : balt array) ->
-            acc
-            *. Stdlib.min 1.0
-                 (Array.fold_left
-                    (fun s b -> s +. Stdlib.min 1.0 (b.b_default *. b.b_nested))
-                    0.0 alts))
-          1.0 branches
+      List.fold_left
+        (fun acc alts -> acc *. branch_frac sketch n alts)
+        1.0 e.branches
     in
     (* phase 4 — children evaluated per bucket combination, under the
        extended environment *)
@@ -709,14 +683,14 @@ let compile_in cx (root : enode) : t =
     in
     n_bound := !n_bound - !node_binds;
     let scr = !scr_off in
-    scr_off := !scr_off + 6 + (5 * (!n_enum + 1));
-    push { kids; enum; branches; branch_dep; branch_const; scr }
+    scr_off := !scr_off + 4 + (5 * (!n_enum + 1));
+    push { kids; enum; branch_dep; branch_const; scr }
   in
   let root_idx = compile_node root in
   let root_const =
     float_of_int (G.extent_size syn root.snode) *. vfrac sketch root.snode root.vpred
   in
-  let shift = (2 * !n_slots) + !n_fixed in
+  let shift = !n_slots + !n_fixed in
   let nodes =
     Array.map
       (fun p -> { p with scr = p.scr + shift })
@@ -730,10 +704,7 @@ let compile_in cx (root : enode) : t =
     nodes;
     root = root_idx;
     root_const;
-    n_slots = !n_slots;
-    n_fixed = !n_fixed;
-    o_p1 = !n_slots;
-    o_fixed = 2 * !n_slots;
+    o_fixed = !n_slots;
     scr_len = shift + !scr_off;
     islab;
   }
@@ -798,49 +769,22 @@ let rec expand (t : t) (ba : farr) (slab : iarr) (idx : int) : unit =
   let dep =
     if ne = 0 then 1.0
     else begin
-      A1.unsafe_set ba (base + 6) 1.0;
+      A1.unsafe_set ba (base + 4) 1.0;
       combos t ba slab p 0;
-      A1.unsafe_get ba (base + 7)
+      A1.unsafe_get ba (base + 5)
     end
   in
   let ibf = if p.branch_dep then 1.0 else p.branch_const in
   A1.unsafe_set ba base (ibf *. A1.unsafe_get ba (base + 1) *. dep)
 
-(* the bucket-conditioned branch factor, into cell base+4 *)
-and branch_factor (t : t) (ba : farr) (p : pnode) : unit =
-  let base = p.scr in
-  A1.unsafe_set ba (base + 4) 1.0;
-  let nb = Array.length p.branches in
-  for bi = 0 to nb - 1 do
-    let alts = Array.unsafe_get p.branches bi in
-    A1.unsafe_set ba (base + 5) 0.0;
-    for j = 0 to Array.length alts - 1 do
-      let b = Array.unsafe_get alts j in
-      let expected =
-        if b.b_slot >= 0 then A1.unsafe_get ba (t.o_p1 + b.b_slot)
-        else b.b_default
-      in
-      let x = expected *. b.b_nested in
-      A1.unsafe_set ba (base + 5)
-        (A1.unsafe_get ba (base + 5) +. (if 1.0 <= x then 1.0 else x))
-    done;
-    let s = A1.unsafe_get ba (base + 5) in
-    A1.unsafe_set ba (base + 4)
-      (A1.unsafe_get ba (base + 4) *. (if 1.0 <= s then 1.0 else s))
-  done
-
-(* per-combination leaf (level [l] = enum length): branch factor first
-   (when it varies), then the dependent kids in order — the
-   reference evaluator's combos base case. Result (weight x factor) goes into
-   the level's sum cell. *)
+(* per-combination leaf (level [l] = enum length): the branch factor
+   first (when an enumerated histogram covers a branch edge), then the
+   dependent kids in order — the reference evaluator's combos base
+   case. Result (weight x factor) goes into the level's sum cell. *)
 and leaf (t : t) (ba : farr) (slab : iarr) (p : pnode) (l : int) : unit =
   let base = p.scr in
-  let lb = base + 6 + (5 * l) in
-  A1.unsafe_set ba (base + 3) 1.0;
-  if p.branch_dep then begin
-    branch_factor t ba p;
-    A1.unsafe_set ba (base + 3) (A1.unsafe_get ba (base + 4))
-  end;
+  let lb = base + 4 + (5 * l) in
+  A1.unsafe_set ba (base + 3) (if p.branch_dep then p.branch_const else 1.0);
   let nk = Array.length p.kids in
   for i = 0 to nk - 1 do
     let kid = Array.unsafe_get p.kids i in
@@ -872,53 +816,52 @@ and leaf (t : t) (ba : farr) (slab : iarr) (p : pnode) (l : int) : unit =
   done;
   A1.unsafe_set ba (lb + 1) (A1.unsafe_get ba lb *. A1.unsafe_get ba (base + 3))
 
-(* write bucket [b]'s means and P(count>=1) into the bound slots *)
-and bind_bucket (t : t) (ba : farr) (slab : iarr) (h : hplan) (b : int) : unit =
+(* write bucket [b]'s means into the bound slots *)
+and bind_bucket (ba : farr) (slab : iarr) (h : hplan) (b : int) : unit =
   let tb = h.tb in
-  let k = tb.Edge_hist.tdims in
+  let k = tb.Edge_hist.dims in
   for m = 0 to h.n_bind - 1 do
     let o = (b * k) + Int32.to_int (A1.unsafe_get slab (h.bind_off + m)) in
     let s = Int32.to_int (A1.unsafe_get slab (h.bind_off + h.n_bind + m)) in
-    A1.unsafe_set ba s (Array.unsafe_get tb.Edge_hist.tmean o);
-    A1.unsafe_set ba (t.o_p1 + s) (Array.unsafe_get tb.Edge_hist.tp1 o)
+    A1.unsafe_set ba s (Array.unsafe_get tb.Edge_hist.mean o)
   done
 
 (* bucket [b] compatible with every bound context dimension? *)
-and compat_from (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.table)
+and compat_from (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.t)
     (b : int) (m : int) : bool =
   m >= h.n_ctx
   ||
-  let k = tb.Edge_hist.tdims in
+  let k = tb.Edge_hist.dims in
   let o = (b * k) + Int32.to_int (A1.unsafe_get slab (h.ctx_off + m)) in
   let v =
     A1.unsafe_get ba (Int32.to_int (A1.unsafe_get slab (h.ctx_off + h.n_ctx + m)))
   in
-  v >= Array.unsafe_get tb.Edge_hist.tlo o
-  && v <= Array.unsafe_get tb.Edge_hist.thi o
+  v >= Array.unsafe_get tb.Edge_hist.lo o
+  && v <= Array.unsafe_get tb.Edge_hist.hi o
   && compat_from ba slab h tb b (m + 1)
 
 (* one pass over the buckets accumulating compatible mass (into cell
    lb+2, in bucket order) and counting the compatible buckets *)
-and count_mass (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.table)
+and count_mass (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.t)
     (lb : int) (b : int) (nb : int) (acc : int) : int =
   if b >= nb then acc
   else if compat_from ba slab h tb b 0 then begin
     A1.unsafe_set ba (lb + 2)
-      (A1.unsafe_get ba (lb + 2) +. Array.unsafe_get tb.Edge_hist.tfrac b);
+      (A1.unsafe_get ba (lb + 2) +. Array.unsafe_get tb.Edge_hist.frac b);
     count_mass ba slab h tb lb (b + 1) nb (acc + 1)
   end
   else count_mass ba slab h tb lb (b + 1) nb acc
 
 (* context distance of bucket [b], accumulated in the reference evaluator's
    reverse-dimension order, into cell lb+4 *)
-and dist_to (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.table)
+and dist_to (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.t)
     (lb : int) (b : int) : unit =
   A1.unsafe_set ba (lb + 4) 0.0;
-  let k = tb.Edge_hist.tdims in
+  let k = tb.Edge_hist.dims in
   for m = h.n_ctx - 1 downto 0 do
     let o = (b * k) + Int32.to_int (A1.unsafe_get slab (h.ctx_off + m)) in
     let dx =
-      Array.unsafe_get tb.Edge_hist.tmean o
+      Array.unsafe_get tb.Edge_hist.mean o
       -. A1.unsafe_get ba
            (Int32.to_int (A1.unsafe_get slab (h.ctx_off + h.n_ctx + m)))
     in
@@ -926,7 +869,7 @@ and dist_to (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.table)
   done
 
 (* nearest-bucket scan: cell lb+3 holds the best distance so far *)
-and best_from (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.table)
+and best_from (ba : farr) (slab : iarr) (h : hplan) (tb : Edge_hist.t)
     (lb : int) (b : int) (nb : int) (best : int) : int =
   if b >= nb then best
   else begin
@@ -944,18 +887,18 @@ and combos (t : t) (ba : farr) (slab : iarr) (p : pnode) (l : int) : unit =
   let ne = Array.length p.enum in
   if l = ne then leaf t ba slab p l
   else begin
-    let lb = p.scr + 6 + (5 * l) in
+    let lb = p.scr + 4 + (5 * l) in
     let h = Array.unsafe_get p.enum l in
     let tb = h.tb in
-    let nb = tb.Edge_hist.tn in
+    let nb = tb.Edge_hist.n in
     A1.unsafe_set ba (lb + 1) 0.0;
     if nb = 0 then ()
     else if h.n_ctx = 0 then begin
-      let frac = tb.Edge_hist.tfrac in
+      let frac = tb.Edge_hist.frac in
       for b = 0 to nb - 1 do
         let w' = A1.unsafe_get ba lb *. Array.unsafe_get frac b in
         if not (w' < 1e-9) then begin
-          bind_bucket t ba slab h b;
+          bind_bucket ba slab h b;
           A1.unsafe_set ba (lb + 5) w';
           combos t ba slab p (l + 1);
           A1.unsafe_set ba (lb + 1)
@@ -973,14 +916,14 @@ and combos (t : t) (ba : farr) (slab : iarr) (p : pnode) (l : int) : unit =
         let best = best_from ba slab h tb lb 1 nb 0 in
         let w' = A1.unsafe_get ba lb *. 1.0 in
         if not (w' < 1e-9) then begin
-          bind_bucket t ba slab h best;
+          bind_bucket ba slab h best;
           A1.unsafe_set ba (lb + 5) w';
           combos t ba slab p (l + 1);
           A1.unsafe_set ba (lb + 1) (0.0 +. A1.unsafe_get ba (lb + 6))
         end
       end
       else begin
-        let frac = tb.Edge_hist.tfrac in
+        let frac = tb.Edge_hist.frac in
         for b = 0 to nb - 1 do
           if compat_from ba slab h tb b 0 then begin
             let w' =
@@ -988,7 +931,7 @@ and combos (t : t) (ba : farr) (slab : iarr) (p : pnode) (l : int) : unit =
               *. (Array.unsafe_get frac b /. A1.unsafe_get ba (lb + 2))
             in
             if not (w' < 1e-9) then begin
-              bind_bucket t ba slab h b;
+              bind_bucket ba slab h b;
               A1.unsafe_set ba (lb + 5) w';
               combos t ba slab p (l + 1);
               A1.unsafe_set ba (lb + 1)

@@ -5,8 +5,11 @@
     sketch: the TREEPARSE analysis of the paper's estimate (which
     histograms to enumerate, which kid alternatives are
     bucket-dependent, which environment entries exist at each program
-    point, the scratch-cell layout) together with the bucket tables
-    and float constants it reads from that sketch.
+    point, the scratch-cell layout) together with the edge histograms
+    and float constants it reads from that sketch. A node's branching
+    predicates are one compile-time constant: every histogram
+    dimension is an F-stable edge, so a bucket never changes a branch's
+    existence fraction.
 
     {!run} interprets the plan as a flat numeric kernel over a
     per-domain [Bigarray] float64 arena and the plan's int32 slab,
@@ -44,9 +47,8 @@ val estimate_roots : Sketch.t -> Embed.enode list -> float
 val branch_frac : Sketch.t -> int -> Embed.ebranch list -> float
 (** [branch_frac t u alts]: the existence fraction of one branching
     predicate below an element of node [u] — the expected number of
-    children matching one of its alternatives, capped at 1. The
-    constant a plan uses for a branch its enumeration does not
-    condition. *)
+    children matching one of its alternatives, capped at 1. A plan's
+    branch factor is the product of these over a node's predicates. *)
 
 val run : t -> float
 (** Evaluate a compiled plan (the estimate of its embedding). Counted

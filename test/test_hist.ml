@@ -1,5 +1,6 @@
 module SD = Xtwig_hist.Sparse_dist
 module EH = Xtwig_hist.Edge_hist
+module HV = Hist_view
 module H1 = Xtwig_hist.Hist1d
 module WV = Xtwig_hist.Wavelet
 
@@ -65,19 +66,19 @@ let test_sd_empty () =
 
 let test_eh_exact_roundtrip () =
   let d = fig4a_dist () in
-  let h = EH.exact d in
-  Alcotest.(check bool) "exact" true (EH.is_exact h);
-  Alcotest.(check int) "2 buckets" 2 (EH.bucket_count h);
-  checkf "total frac" 1.0 (EH.total_frac h);
-  checkf "joint preserved" 1000.0 (EH.expected_product h ~over:[ 0; 1 ])
+  let h = HV.exact d in
+  Alcotest.(check bool) "exact" true (HV.is_exact h);
+  Alcotest.(check int) "2 buckets" 2 (HV.bucket_count h);
+  checkf "total frac" 1.0 (HV.total_frac h);
+  checkf "joint preserved" 1000.0 (HV.expected_product h ~over:[ 0; 1 ])
 
 let test_eh_budget_one () =
   let d = fig4a_dist () in
   let h = EH.build ~budget:1 d in
-  Alcotest.(check int) "1 bucket" 1 (EH.bucket_count h);
+  Alcotest.(check int) "1 bucket" 1 (HV.bucket_count h);
   (* single bucket: independence within -> E[b*c] = 55*55 *)
-  checkf "collapsed joint" 3025.0 (EH.expected_product h ~over:[ 0; 1 ]);
-  checkf "means preserved" 55.0 (EH.mean h 0)
+  checkf "collapsed joint" 3025.0 (HV.expected_product h ~over:[ 0; 1 ]);
+  checkf "means preserved" 55.0 (HV.mean h 0)
 
 let test_eh_means_always_preserved () =
   (* bucket means are weighted averages: the marginal mean is exact at
@@ -90,17 +91,17 @@ let test_eh_means_always_preserved () =
   List.iter
     (fun budget ->
       let h = EH.build ~budget d in
-      checkf4 (Printf.sprintf "mean at budget %d" budget) exact_mean (EH.mean h 0))
+      checkf4 (Printf.sprintf "mean at budget %d" budget) exact_mean (HV.mean h 0))
     [ 1; 2; 3; 4; 100 ]
 
 let test_eh_enum_unconditional () =
-  let h = EH.exact (fig4a_dist ()) in
+  let h = HV.exact (fig4a_dist ()) in
   let buckets = Estimate_reference.enum h ~ctx:[] in
   Alcotest.(check int) "all buckets" 2 (List.length buckets);
   checkf "weights sum 1" 1.0 (List.fold_left (fun a (w, _) -> a +. w) 0.0 buckets)
 
 let test_eh_enum_conditional () =
-  let h = EH.exact (fig4a_dist ()) in
+  let h = HV.exact (fig4a_dist ()) in
   (* conditioning on b=10 must select only the (10,100) bucket *)
   match Estimate_reference.enum h ~ctx:[ (0, 10.0) ] with
   | [ (w, rep) ] ->
@@ -109,7 +110,7 @@ let test_eh_enum_conditional () =
   | l -> Alcotest.fail (Printf.sprintf "expected 1 bucket, got %d" (List.length l))
 
 let test_eh_enum_nearest_fallback () =
-  let h = EH.exact (fig4a_dist ()) in
+  let h = HV.exact (fig4a_dist ()) in
   (* 55 is in no bucket's range on dim 0; nearest (by mean distance) wins *)
   match Estimate_reference.enum h ~ctx:[ (0, 30.0) ] with
   | [ (w, rep) ] ->
@@ -118,19 +119,19 @@ let test_eh_enum_nearest_fallback () =
   | _ -> Alcotest.fail "expected nearest-bucket fallback"
 
 let test_eh_marginal_frac () =
-  let h = EH.exact (fig4a_dist ()) in
-  checkf "b=10 mass" 0.5 (EH.marginal_frac h ~ctx:[ (0, 10.0) ]);
-  checkf "empty ctx mass" 1.0 (EH.marginal_frac h ~ctx:[]);
-  checkf "no mass" 0.0 (EH.marginal_frac h ~ctx:[ (0, 55.0) ])
+  let h = HV.exact (fig4a_dist ()) in
+  checkf "b=10 mass" 0.5 (HV.marginal_frac h ~ctx:[ (0, 10.0) ]);
+  checkf "empty ctx mass" 1.0 (HV.marginal_frac h ~ctx:[]);
+  checkf "no mass" 0.0 (HV.marginal_frac h ~ctx:[ (0, 55.0) ])
 
 let test_eh_empty () =
   let h = EH.build (SD.of_vectors ~dims:2 []) in
-  Alcotest.(check int) "no buckets" 0 (EH.bucket_count h);
+  Alcotest.(check int) "no buckets" 0 (HV.bucket_count h);
   Alcotest.(check (list (pair (float 0.) (array (float 0.))))) "enum empty" []
     (Estimate_reference.enum h ~ctx:[])
 
 let test_eh_size_bytes () =
-  let h = EH.exact (fig4a_dist ()) in
+  let h = HV.exact (fig4a_dist ()) in
   Alcotest.(check int) "2 buckets x (2*2+1)*4" (2 * 20) (EH.size_bytes h)
 
 let test_eh_split_quality () =
@@ -139,8 +140,8 @@ let test_eh_split_quality () =
     SD.of_counted ~dims:1 [ ([| 1 |], 50); ([| 2 |], 50); ([| 99 |], 50); ([| 100 |], 50) ]
   in
   let h = EH.build ~budget:2 d in
-  Alcotest.(check int) "2 buckets" 2 (EH.bucket_count h);
-  let means = List.map (fun (b : EH.bucket) -> b.mean.(0)) (EH.buckets h) in
+  Alcotest.(check int) "2 buckets" 2 (HV.bucket_count h);
+  let means = List.map (fun (b : HV.bucket) -> b.mean.(0)) (HV.buckets h) in
   let sorted = List.sort compare means in
   Alcotest.(check bool) "split at the gap" true
     (List.nth sorted 0 < 3.0 && List.nth sorted 1 > 98.0)
@@ -160,26 +161,26 @@ let prop_total_frac =
     QCheck2.Gen.(pair gen_dist (1 -- 8))
     (fun (d, budget) ->
       let h = EH.build ~budget d in
-      Float.abs (EH.total_frac h -. 1.0) < 1e-9)
+      Float.abs (HV.total_frac h -. 1.0) < 1e-9)
 
 let prop_budget_respected =
   QCheck2.Test.make ~name:"bucket_count <= budget" ~count:200
     QCheck2.Gen.(pair gen_dist (1 -- 8))
-    (fun (d, budget) -> EH.bucket_count (EH.build ~budget d) <= budget)
+    (fun (d, budget) -> HV.bucket_count (EH.build ~budget d) <= budget)
 
 let prop_marginal_mean_exact =
   QCheck2.Test.make ~name:"marginal means exact at any budget" ~count:200
     QCheck2.Gen.(pair gen_dist (1 -- 8))
     (fun (d, budget) ->
       let h = EH.build ~budget d in
-      Float.abs (EH.mean h 0 -. SD.mean d 0) < 1e-6
-      && Float.abs (EH.mean h 1 -. SD.mean d 1) < 1e-6)
+      Float.abs (HV.mean h 0 -. SD.mean d 0) < 1e-6
+      && Float.abs (HV.mean h 1 -. SD.mean d 1) < 1e-6)
 
 let prop_exact_preserves_joint =
   QCheck2.Test.make ~name:"exact histogram preserves E[product]" ~count:200 gen_dist
     (fun d ->
-      let h = EH.exact d in
-      Float.abs (EH.expected_product h ~over:[ 0; 1 ] -. SD.expected_product d ~over:[ 0; 1 ])
+      let h = HV.exact d in
+      Float.abs (HV.expected_product h ~over:[ 0; 1 ] -. SD.expected_product d ~over:[ 0; 1 ])
       < 1e-6)
 
 (* ---------------- Hist1d ---------------- *)

@@ -3,7 +3,7 @@ module Tsn = Xtwig_synopsis.Tsn
 module Sketch = Xtwig_sketch.Sketch
 module Embed = Xtwig_sketch.Embed
 module Treeparse = Xtwig_sketch.Treeparse
-module EH = Xtwig_hist.Edge_hist
+module HV = Hist_view
 module Fx = Xtwig_fixtures.Fixtures
 
 let checkf = Alcotest.(check (float 1e-9))
@@ -84,7 +84,7 @@ let test_coarsest_structure () =
   List.iter
     (fun (dims, h) ->
       Alcotest.(check int) "1-d" 1 (Array.length dims);
-      Alcotest.(check bool) "1 bucket" true (EH.bucket_count h <= 1))
+      Alcotest.(check bool) "1 bucket" true (HV.bucket_count h <= 1))
     hs
 
 let test_coarsest_drops_unstable () =
@@ -288,7 +288,7 @@ let prop_built_hists_normalized =
       List.for_all
         (fun n ->
           List.for_all
-            (fun (_, h) -> Float.abs (EH.total_frac h -. 1.0) < 1e-9)
+            (fun (_, h) -> Float.abs (HV.total_frac h -. 1.0) < 1e-9)
             (Sketch.hists sk n))
         (List.init (G.node_count syn) Fun.id))
 
