@@ -38,12 +38,22 @@ let size_bytes (Instance ((module M), v)) = M.size_bytes v
    then keeps only the answer (DESIGN.md §12). *)
 
 module Xsketch = struct
-  type t = { sk : Sketch.t; coarse_sk : Sketch.t Lazy.t }
+  (* The label-split floor is built on its first use: [Xtwig.optimize]
+     wraps a sketch in a new instance per call and never degrades, so
+     an eager floor would cost it a build each time. A pooled session
+     degrades on several domains at once, and a domain that forces a
+     lazy value another domain is forcing gets [Lazy.Undefined], so the
+     instance's own mutex serializes the force. *)
+  type t = { sk : Sketch.t; coarse_sk : Sketch.t Lazy.t; coarse_lock : Mutex.t }
 
   let name = "xsketch"
 
   let wrap sk =
-    { sk; coarse_sk = lazy (Sketch.default_of_doc (Sketch.doc sk)) }
+    {
+      sk;
+      coarse_sk = lazy (Sketch.default_of_doc (Sketch.doc sk));
+      coarse_lock = Mutex.create ();
+    }
 
   let build ?(budget = 8192) ?(seed = 42) doc =
     if budget <= 0 then Error (Xerror.Usage "budget must be positive")
@@ -59,7 +69,8 @@ module Xsketch = struct
 
   let load doc path = Result.map (fun (_, sk) -> wrap sk) (Sketch_io.read_res doc path)
   let estimate t q = Est.estimate t.sk q
-  let coarse t q = Est.estimate (Lazy.force t.coarse_sk) q
+  let coarse t q =
+    Est.estimate (Mutex.protect t.coarse_lock (fun () -> Lazy.force t.coarse_sk)) q
   let size_bytes t = Sketch.size_bytes t.sk
 end
 

@@ -62,7 +62,9 @@ module Xsketch : S
     twig's embeddings, compiles and runs a plan for each and keeps
     none ({!Xtwig_sketch.Estimator.estimate}) — this is the path
     [Xtwig.optimize]'s costing takes. [coarse] is the label-split
-    estimate (built lazily, once). *)
+    estimate, its synopsis built on first use, once per instance, under
+    the instance's mutex: a pooled session may degrade on several
+    domains at once. *)
 
 module Cst : S
 (** The correlated-suffix-tree baseline. No persistent format;

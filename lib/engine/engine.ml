@@ -192,9 +192,15 @@ let sk_core ~max_embeddings ~max_embed_nodes sk =
       table = Plan.create_cache ~max_embeddings ~max_embed_nodes sk;
     }
 
-let check_session_args ~jobs ~retries =
+(* A deadline must be positive ([infinity] means none): a negative or
+   zero one degrades every query, and a NaN one never fires. *)
+let bad_timeout timeout_s =
+  Xerror.Usage (Printf.sprintf "timeout must be > 0 seconds, got %g" timeout_s)
+
+let check_session_args ~jobs ~retries ~timeout_s =
   if jobs < 1 then Error (Xerror.Engine "jobs must be >= 1")
   else if retries < 0 then Error (Xerror.Engine "retries must be >= 0")
+  else if not (timeout_s > 0.0) then Error (bad_timeout timeout_s)
   else Ok ()
 
 let of_sketch ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
@@ -207,7 +213,7 @@ let of_sketch ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
       mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s:0.0 ~retries
         ~backoff_s ~breaker_threshold ~breaker_cooldown_s ~max_embeddings
         ~max_embed_nodes ())
-    (check_session_args ~jobs ~retries)
+    (check_session_args ~jobs ~retries ~timeout_s)
 
 let of_backend ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
     ?(backoff_s = 0.001) ?(breaker_threshold = 8) ?(breaker_cooldown_s = 0.25)
@@ -217,7 +223,7 @@ let of_backend ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
       mk ?name ~core:(Bk inst) ~jobs ~timeout_s ~on_embedding ~build_s:0.0
         ~retries ~backoff_s ~breaker_threshold ~breaker_cooldown_s
         ~max_embeddings:max_int ~max_embed_nodes:max_int ())
-    (check_session_args ~jobs ~retries)
+    (check_session_args ~jobs ~retries ~timeout_s)
 
 let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
     ?(timeout_s = 5.0) ?(retries = 2) ?(backoff_s = 0.001)
@@ -242,7 +248,7 @@ let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
       ~pool ()
   in
   if budget <= 0 then Error (Xerror.Engine "budget must be positive")
-  else Result.map open_session (check_session_args ~jobs ~retries)
+  else Result.map open_session (check_session_args ~jobs ~retries ~timeout_s)
 
 (* Capped exponential backoff between retry attempts: base * 2^k,
    never more than 50 ms — the engine bounds tail latency, so waiting
@@ -454,10 +460,11 @@ let compile_prep t ~timeout ~probe i q =
   end
 
 let estimate_batch ?timeout_s ?trace_id t queries =
+  let timeout = Option.value timeout_s ~default:t.default_timeout in
   if t.closed then Error (Xerror.Engine "session is closed")
+  else if not (timeout > 0.0) then Error (bad_timeout timeout)
   else begin
     match
-      let timeout = Option.value timeout_s ~default:t.default_timeout in
       let trace_id =
         (* a client-propagated id (threaded here by the serving layer)
            replaces the minted one, so the server's and the engine's

@@ -184,7 +184,8 @@ val create :
     [breaker_cooldown_s] (default 0.25), [max_embeddings] (default
     100_000), [max_embed_nodes] (default 1_000_000). Errors:
     [Xerror.Engine] on non-positive [budget], [jobs] or negative
-    [retries].
+    [retries]; [Xerror.Usage] unless [timeout_s > 0.0], so NaN is
+    refused too ([infinity] is valid and means no deadline).
 
     [on_embedding] is a fault-injection/observability hook invoked on
     the evaluating domain before each embedding's contribution — the
@@ -249,7 +250,8 @@ val estimate_batch :
     Never raises, under any fault scenario: failures degrade
     individual answers (see the module preamble), and anything that
     slips every per-query net returns [Error (Xerror.Engine _)].
-    Errors: [Xerror.Engine] on a closed session.
+    Errors: [Xerror.Engine] on a closed session; [Xerror.Usage] unless
+    the batch's deadline ([timeout_s], else the session's) is > 0.0.
 
     Each query runs under the fault scope of its batch index
     ({!Xtwig_fault.Fault.with_scope}), so injected fault sequences are

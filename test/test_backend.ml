@@ -122,6 +122,46 @@ let test_xsketch_backend_matches_sketch_session () =
                (Int64.bits_of_float y.Engine.estimate)))
         a b)
 
+(* A pooled session degrades on several workers at once. Each session
+   below wraps a fresh instance, so its first degradations race to
+   build the lazily built floor. The sketch is the coarsest one, which
+   the floor estimates exactly as the sketch does, so every answer,
+   degraded or not, must equal [Backend.coarse] bit for bit; a lost
+   race used to read 0.0. *)
+let test_pooled_coarse_floor () =
+  let doc = Xtwig_datagen.Imdb.generate ~scale:0.05 () in
+  let sk = Xtwig_sketch.Sketch.default_of_doc doc in
+  let qs =
+    Xtwig_workload.Wgen.generate
+      { Xtwig_workload.Wgen.paper_p with n_queries = 32 }
+      (Xtwig_util.Prng.create 11) doc
+  in
+  let floor = Backend.of_sketch sk in
+  let expected =
+    List.map (fun q -> Int64.bits_of_float (Backend.coarse floor q)) qs
+  in
+  List.iter
+    (fun jobs ->
+      for _ = 1 to 10 do
+        let eng =
+          ok_exn
+            (Engine.of_backend ~jobs ~timeout_s:1e-9 (Backend.of_sketch sk))
+        in
+        let answers =
+          Fun.protect
+            ~finally:(fun () -> Engine.close eng)
+            (fun () -> ok_exn (Engine.estimate_batch eng qs))
+        in
+        List.iter2
+          (fun bits (a : Engine.answer) ->
+            Alcotest.(check int64)
+              (Printf.sprintf "jobs %d: answer = coarse floor" jobs)
+              bits
+              (Int64.bits_of_float a.Engine.estimate))
+          expected answers
+      done)
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "backend"
     [
@@ -138,5 +178,7 @@ let () =
             test_generic_session_matches_direct;
           Alcotest.test_case "xsketch backend matches sketch session" `Quick
             test_xsketch_backend_matches_sketch_session;
+          Alcotest.test_case "pooled degradations share one coarse floor"
+            `Quick test_pooled_coarse_floor;
         ] );
     ]

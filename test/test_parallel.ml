@@ -398,9 +398,11 @@ let test_engine_expired_deadline_degrades_all () =
   Fun.protect
     ~finally:(fun () -> Engine.close eng)
     (fun () ->
-      (* a deadline already in the past: every answer must still come
-         back, flagged, with the coarse estimate *)
-      let answers = get (Engine.estimate_batch ~timeout_s:(-1.0) eng qs) in
+      (* a deadline that has passed before any plan runs (1 ns, below
+         the clock's resolution; a non-positive one is refused): every
+         answer must still come back, flagged, with the coarse
+         estimate *)
+      let answers = get (Engine.estimate_batch ~timeout_s:1e-9 eng qs) in
       let coarse = Sketch.default_of_doc doc in
       List.iter2
         (fun q (a : Engine.answer) ->
@@ -425,6 +427,32 @@ let test_engine_closed_and_invalid () =
   match Engine.create ~budget:0 doc with
   | Error (Xerror.Engine _) -> ()
   | _ -> Alcotest.fail "expected Engine error on budget=0"
+
+(* Every entry point refuses a deadline that is not positive with a
+   usage error: a negative or zero one would degrade every query, a NaN
+   one would never fire. [infinity] is valid and means no deadline. *)
+let test_engine_rejects_deadline timeout_s () =
+  let doc = Lazy.force imdb in
+  let sk = build_small doc in
+  let refused what = function
+    | Error (Xerror.Usage _) -> ()
+    | Ok _ -> Alcotest.failf "%s accepted timeout_s = %g" what timeout_s
+    | Error e -> Alcotest.failf "%s: wrong class: %s" what (Xerror.to_string e)
+  in
+  refused "of_sketch" (Engine.of_sketch ~timeout_s sk);
+  refused "of_backend"
+    (Engine.of_backend ~timeout_s (Xtwig_backend.Estimator_backend.of_sketch sk));
+  refused "create" (Engine.create ~timeout_s ~budget:1000 doc);
+  let eng = get (Engine.of_sketch ~timeout_s:infinity sk) in
+  Fun.protect
+    ~finally:(fun () -> Engine.close eng)
+    (fun () ->
+      let qs = queries_for doc 2 in
+      refused "estimate_batch" (Engine.estimate_batch ~timeout_s eng qs);
+      List.iter
+        (fun (a : Engine.answer) ->
+          Alcotest.(check bool) "no deadline, no fallback" false a.Engine.fallback)
+        (get (Engine.estimate_batch eng qs)))
 
 (* ------------------------------------------------------------------ *)
 (* Sketch format versioning                                            *)
@@ -528,6 +556,12 @@ let () =
             test_engine_expired_deadline_degrades_all;
           Alcotest.test_case "closed session and invalid args" `Quick
             test_engine_closed_and_invalid;
+          Alcotest.test_case "deadline nan is refused" `Quick
+            (test_engine_rejects_deadline Float.nan);
+          Alcotest.test_case "deadline -1 is refused" `Quick
+            (test_engine_rejects_deadline (-1.0));
+          Alcotest.test_case "deadline 0 is refused" `Quick
+            (test_engine_rejects_deadline 0.0);
         ] );
       ( "sketch format",
         [
