@@ -4,22 +4,22 @@
    record produced from this output.
 
    Usage: main.exe
-   [table1|table2|fig9a|fig9b|fig9c|singlepath|ablation|micro|xbuild|
-    xbuild-par|estimate-batch|parallel|fault-audit|ingest|all]
+   [table1|table2|fig9a|fig9b|fig9c|singlepath|negative|ablation|micro|
+    xbuild|fault-audit|scaling|ingest|optimize|serve|all]
    [--trace FILE]
    (default: all). [xbuild] times one full greedy construction and
    writes its wall time, steps/sec and reuse/cache counters to
    BENCH_xbuild.json. [ingest] times the streaming parser against the
-   retained PR-8 parser and Sketch.apply_delta against a full
-   re-XBUILD, runs the delta differential, and writes
-   BENCH_ingest.json (exits 1 on any mismatch or throughput-floor
-   breach). [parallel] (= xbuild-par + estimate-batch) times
-   pooled candidate scoring against sequential — checking the two
-   synopses are byte-identical — and Engine batch throughput, and
-   writes BENCH_parallel.json; XTWIG_JOBS sets the domain count
-   (default 4). [fault-audit] drives a 200-query batch under a 1%
-   chaos scenario (XTWIG_FAULT_SPEC overrides) and writes the
-   injected/retried/degraded counts to BENCH_fault.json.
+   recursive reference parser (test/xml_reference.ml) and
+   Sketch.apply_delta against a full re-XBUILD, runs the delta
+   differential, and writes BENCH_ingest.json (exits 1 on any mismatch
+   or throughput-floor breach). [scaling] runs the pooled build once
+   per XTWIG_SCALING_JOBS value and checks every synopsis is
+   byte-identical to the jobs = 1 one (BENCH_scaling.json).
+   [fault-audit] drives a 200-query batch on XTWIG_JOBS worker domains
+   (default 4) under a 1% chaos scenario (XTWIG_FAULT_SPEC overrides)
+   and writes the injected/retried/degraded counts to
+   BENCH_fault.json.
 
    Environment knobs (XTWIG_SCALE, XTWIG_JOBS, ...) are parsed
    strictly: a malformed value exits 2 naming the variable
@@ -455,39 +455,15 @@ let xbuild_bench () =
   log "wrote BENCH_xbuild.json"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel XBUILD + concurrent estimation benchmark: sequential vs
-   pooled candidate scoring (with a byte-identity check on the
-   resulting synopsis) and Engine batch throughput, recorded to
-   BENCH_parallel.json.                                                *)
+(* The shared IMDB build of the modes below (fault-audit, scaling,
+   ingest, optimize): a 14-query scoring workload, 16x the coarsest
+   synopsis, candidate scoring on a pool when one is given.            *)
 
 module Pool = Xtwig_util.Pool
 module Sketch_io = Xtwig_sketch.Sketch_io
 module Engine = Xtwig_engine.Engine
 
 let bench_jobs = env_int "XTWIG_JOBS" 4 ~valid:(at_least 1)
-
-type par_results = {
-  mutable xb_wall_seq : float;
-  mutable xb_wall_par : float;
-  mutable xb_identical : bool;
-  mutable eb_queries : int;
-  mutable eb_wall_seq : float;
-  mutable eb_wall_par : float;
-  mutable eb_identical : bool;
-  mutable eb_timeouts : int;
-}
-
-let par_results =
-  {
-    xb_wall_seq = Float.nan;
-    xb_wall_par = Float.nan;
-    xb_identical = false;
-    eb_queries = 0;
-    eb_wall_seq = Float.nan;
-    eb_wall_par = Float.nan;
-    eb_identical = false;
-    eb_timeouts = 0;
-  }
 
 let par_budget doc = Sketch.size_bytes (Sketch.default_of_doc doc) * 16
 
@@ -497,104 +473,6 @@ let par_build ?pool doc =
   let workload prng ~focus = Wgen.generate ~focus scoring prng doc in
   Xbuild.build ?pool ~seed:7 ~candidates:8 ~max_steps:300 ~workload ~truth
     ~budget:(par_budget doc) doc
-
-let write_parallel_json () =
-  let r = par_results in
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"parallel\",\n";
-  fprint_provenance oc;
-  Printf.fprintf oc "  \"dataset\": \"IMDB\",\n";
-  Printf.fprintf oc "  \"scale\": %g,\n" scale;
-  Printf.fprintf oc "  \"jobs\": %d,\n" bench_jobs;
-  Printf.fprintf oc "  \"xbuild\": {\n";
-  Printf.fprintf oc "    \"wall_seq_s\": %.3f,\n" r.xb_wall_seq;
-  Printf.fprintf oc "    \"wall_par_s\": %.3f,\n" r.xb_wall_par;
-  Printf.fprintf oc "    \"speedup\": %.3f,\n" (r.xb_wall_seq /. r.xb_wall_par);
-  Printf.fprintf oc "    \"synopsis_identical\": %b\n" r.xb_identical;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"estimate_batch\": {\n";
-  Printf.fprintf oc "    \"queries\": %d,\n" r.eb_queries;
-  Printf.fprintf oc "    \"wall_seq_s\": %.3f,\n" r.eb_wall_seq;
-  Printf.fprintf oc "    \"wall_par_s\": %.3f,\n" r.eb_wall_par;
-  Printf.fprintf oc "    \"queries_per_s_par\": %.1f,\n"
-    (float_of_int r.eb_queries /. Stdlib.max 1e-9 r.eb_wall_par);
-  Printf.fprintf oc "    \"answers_identical\": %b,\n" r.eb_identical;
-  Printf.fprintf oc "    \"timeouts\": %d\n" r.eb_timeouts;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  log "wrote BENCH_parallel.json"
-
-let xbuild_par_bench () =
-  print_header "Parallel XBUILD benchmark (IMDB)";
-  let doc = Lazy.force (dataset "imdb").doc in
-  log "available cores: %d, worker domains: %d (XTWIG_JOBS)"
-    (Domain.recommended_domain_count ())
-    bench_jobs;
-  let t0 = now () in
-  let seq = par_build doc in
-  let wall_seq = now () -. t0 in
-  let t0 = now () in
-  let par = Pool.with_pool ~domains:bench_jobs (fun p -> par_build ~pool:p doc) in
-  let wall_par = now () -. t0 in
-  let identical =
-    String.equal (Sketch_io.to_string seq) (Sketch_io.to_string par)
-  in
-  par_results.xb_wall_seq <- wall_seq;
-  par_results.xb_wall_par <- wall_par;
-  par_results.xb_identical <- identical;
-  print_row "%-28s %12.3f" "sequential wall (s)" wall_seq;
-  print_row "%-28s %12.3f" "parallel wall (s)" wall_par;
-  print_row "%-28s %12.2f" "speedup" (wall_seq /. Stdlib.max 1e-9 wall_par);
-  print_row "%-28s %12b" "synopsis byte-identical" identical;
-  if Domain.recommended_domain_count () < 2 then
-    log
-      "NOTE: this machine exposes a single core; the parallel path is \
-       exercised for correctness but cannot show wall-clock speedup here.";
-  if not identical then log "ERROR: parallel synopsis differs from sequential!"
-
-let estimate_batch_bench () =
-  print_header "Concurrent estimation engine benchmark (IMDB)";
-  let doc = Lazy.force (dataset "imdb").doc in
-  let sk = par_build doc in
-  let qs =
-    Wgen.generate { Wgen.paper_p with Wgen.n_queries = 200 } (Prng.create 99) doc
-  in
-  let run jobs =
-    match Engine.of_sketch ~jobs sk with
-    | Error e -> failwith (Xtwig_util.Xerror.to_string e)
-    | Ok eng ->
-        Fun.protect
-          ~finally:(fun () -> Engine.close eng)
-          (fun () ->
-            let t0 = now () in
-            match Engine.estimate_batch eng qs with
-            | Error e -> failwith (Xtwig_util.Xerror.to_string e)
-            | Ok answers ->
-                let wall = now () -. t0 in
-                (wall, answers, Engine.stats eng))
-  in
-  let wall_seq, ans_seq, _ = run 1 in
-  let wall_par, ans_par, st = run bench_jobs in
-  let identical =
-    List.for_all2
-      (fun (a : Engine.answer) (b : Engine.answer) ->
-        Float.equal a.Engine.estimate b.Engine.estimate)
-      ans_seq ans_par
-  in
-  par_results.eb_queries <- List.length qs;
-  par_results.eb_wall_seq <- wall_seq;
-  par_results.eb_wall_par <- wall_par;
-  par_results.eb_identical <- identical;
-  par_results.eb_timeouts <- st.Engine.timeouts;
-  print_row "%-28s %12d" "queries" (List.length qs);
-  print_row "%-28s %12.3f" "sequential wall (s)" wall_seq;
-  print_row "%-28s %12.3f" "parallel wall (s)" wall_par;
-  print_row "%-28s %12.1f" "queries/s (parallel)"
-    (float_of_int (List.length qs) /. Stdlib.max 1e-9 wall_par);
-  print_row "%-28s %12b" "answers identical" identical;
-  print_row "%-28s %12d" "timeouts" st.Engine.timeouts;
-  if not identical then log "ERROR: parallel answers differ from sequential!"
 
 (* ------------------------------------------------------------------ *)
 (* Fault audit: a 1%-everything chaos scenario over a 200-query Engine
@@ -790,7 +668,7 @@ let scaling_bench () =
 (* Streaming-ingestion benchmark: the PR-9 tentpole's evidence.
 
    Part 1 times the chunked SAX parser against the retained PR-8
-   whole-string parser (reference_parse_string_res) on the IMDB and
+   whole-string parser (test/xml_reference.ml) on the IMDB and
    XMark texts, interleaved best-of-N, and asserts the two documents
    are traversal-identical (every tag, parent, child order and value)
    — which pins the fig9a trajectory, double-checked by comparing the
@@ -857,7 +735,7 @@ let ingest_parse_one name =
      GC warm), then interleaved best-of-N: alternating the two parsers
      inside each rep cancels slow drift out of the ratio *)
   let ds = force (Xml_parser.parse_string_res xml) in
-  let dr = force (Xml_parser.reference_parse_string_res xml) in
+  let dr = force (Xml_reference.parse_string_res xml) in
   (* start each dataset from a compacted heap: garbage left by the
      previous dataset's reps would tax the two parsers unevenly *)
   Gc.compact ();
@@ -868,7 +746,7 @@ let ingest_parse_one name =
     let ts = now () -. t0 in
     let t0 = now () in
     ignore
-      (Sys.opaque_identity (force (Xml_parser.reference_parse_string_res xml)));
+      (Sys.opaque_identity (force (Xml_reference.parse_string_res xml)));
     let tr = now () -. t0 in
     if ts < !best_stream then best_stream := ts;
     if tr < !best_ref then best_ref := tr
@@ -1405,16 +1283,6 @@ let () =
   | "ablation" -> ablation ()
   | "micro" -> micro ()
   | "xbuild" -> xbuild_bench ()
-  | "xbuild-par" ->
-      xbuild_par_bench ();
-      write_parallel_json ()
-  | "estimate-batch" ->
-      estimate_batch_bench ();
-      write_parallel_json ()
-  | "parallel" ->
-      xbuild_par_bench ();
-      estimate_batch_bench ();
-      write_parallel_json ()
   | "fault-audit" -> fault_audit ()
   | "scaling" -> scaling_bench ()
   | "ingest" -> ingest ()
@@ -1424,9 +1292,8 @@ let () =
   | other ->
       Printf.eprintf
         "unknown benchmark %S (expected \
-         table1|table2|fig9a|fig9b|fig9c|singlepath|ablation|micro|xbuild|\
-         xbuild-par|estimate-batch|parallel|fault-audit|scaling|ingest|\
-         optimize|serve|all)\n"
+         table1|table2|fig9a|fig9b|fig9c|singlepath|negative|ablation|micro|\
+         xbuild|fault-audit|scaling|ingest|optimize|serve|all)\n"
         other;
       exit 1);
   (match trace_file with

@@ -578,9 +578,14 @@ let bench_batch_cmd =
        let* () =
          if n < 1 then Error (Xerror.Usage "--queries must be >= 1") else Ok ()
        in
-       let* result =
-         Engine.with_engine ~seed ~jobs ~timeout_s:timeout ~budget doc
-           (fun engine ->
+       let t0 = Unix.gettimeofday () in
+       let* sk = build_sketch ~quiet:true ~jobs doc ~budget ~seed in
+       let build_s = Unix.gettimeofday () -. t0 in
+       let* engine = Xtwig.open_sketch_session ~jobs ~timeout_s:timeout sk in
+       let* answers, wall, st, (compiles, hits, runs, compile_ns) =
+         Fun.protect
+           ~finally:(fun () -> Xtwig.close_session engine)
+           (fun () ->
              let qs =
                Wgen.generate
                  { Wgen.paper_p with Wgen.n_queries = n }
@@ -602,10 +607,9 @@ let bench_batch_cmd =
              in
              Result.map (fun a -> (a, wall, Engine.stats engine, plans)) answers)
        in
-       let* answers, wall, st, (compiles, hits, runs, compile_ns) = result in
        let n_answers = List.length answers in
        Format.printf "engine: %d jobs, synopsis %d bytes (built in %.2fs)@."
-         st.Engine.jobs st.Engine.sketch_bytes st.Engine.build_s;
+         st.Engine.jobs st.Engine.sketch_bytes build_s;
        Format.printf "batch:  %d queries in %.3fs (%.0f queries/s), %d timeout(s)@."
          n_answers wall
          (float_of_int n_answers /. Float.max 1e-9 wall)

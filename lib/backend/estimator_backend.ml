@@ -4,7 +4,6 @@ module Sketch = Xtwig_sketch.Sketch
 module Sketch_io = Xtwig_sketch.Sketch_io
 module Est = Xtwig_sketch.Estimator
 module Xbuild = Xtwig_sketch.Xbuild
-module Wgen = Xtwig_workload.Wgen
 
 type doc = Doc.t
 type twig = Xtwig_path.Path_types.twig
@@ -18,6 +17,7 @@ module type S = sig
   val estimate : t -> twig -> float
   val coarse : t -> twig -> float
   val size_bytes : t -> int
+  val sketch : t -> Sketch.t option
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
@@ -26,21 +26,22 @@ let name_of (Instance ((module M), _)) = M.name
 let estimate (Instance ((module M), v)) q = M.estimate v q
 let coarse (Instance ((module M), v)) q = M.coarse v q
 let size_bytes (Instance ((module M), v)) = M.size_bytes v
+let sketch (Instance ((module M), v)) = M.sketch v
 
 (* ------------------------------------------------------------------ *)
-(* XSKETCH: the paper's estimator, behind the generic surface, for
-   callers that want it through the same door every other backend uses.
-   It keeps no caches: every [estimate] enumerates the twig's embeddings
-   and compiles, runs and drops a plan for each ([Estimator.estimate]).
-   The engine's session path (Engine.of_sketch) bypasses this module on
-   purpose: a session compiles each distinct query once against one
-   shared compile context, runs its plans until they answer clean and
-   then keeps only the answer (DESIGN.md §12). *)
+(* XSKETCH: the paper's estimator, behind the generic surface every
+   other backend uses. Its [estimate] keeps no caches: it enumerates
+   the twig's embeddings and compiles, runs and drops a plan for each
+   ([Estimator.estimate]). An engine session over an instance that
+   exposes its [sketch] answers from its own table of plans and
+   recorded answers instead (DESIGN.md §12), and takes only [coarse],
+   the name and the size from here. *)
 
 module Xsketch = struct
   (* The label-split floor is built on its first use: [Xtwig.optimize]
-     wraps a sketch in a new instance per call and never degrades, so
-     an eager floor would cost it a build each time. A pooled session
+     wraps a sketch in a new instance per call and never degrades, and
+     a session opened or updated over a sketch may never degrade, so an
+     eager floor would cost each of them a build. A pooled session
      degrades on several domains at once, and a domain that forces a
      lazy value another domain is forcing gets [Lazy.Undefined], so the
      instance's own mutex serializes the force. *)
@@ -58,11 +59,7 @@ module Xsketch = struct
   let build ?(budget = 8192) ?(seed = 42) doc =
     if budget <= 0 then Error (Xerror.Usage "budget must be positive")
     else
-      let truth = Xbuild.memo_truth doc in
-      let workload prng ~focus =
-        Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
-      in
-      match Xbuild.build ~seed ~budget ~workload ~truth doc with
+      match Xbuild.build ~seed ~budget doc with
       | sk -> Ok (wrap sk)
       | exception e ->
           Error (Xerror.Engine ("xbuild failed: " ^ Printexc.to_string e))
@@ -72,6 +69,7 @@ module Xsketch = struct
   let coarse t q =
     Est.estimate (Mutex.protect t.coarse_lock (fun () -> Lazy.force t.coarse_sk)) q
   let size_bytes t = Sketch.size_bytes t.sk
+  let sketch t = Some t.sk
 end
 
 module Cst = struct
@@ -96,6 +94,7 @@ module Cst = struct
   (* the trie estimate is already O(query); it is its own floor *)
   let coarse t q = try Xtwig_cst.Cst.estimate t q with _ -> 0.0
   let size_bytes t = Xtwig_cst.Cst.size_bytes t
+  let sketch _ = None
 end
 
 (* ------------------------------------------------------------------ *)

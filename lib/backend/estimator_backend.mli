@@ -43,6 +43,13 @@ module type S = sig
       failure path where no further budget exists. *)
 
   val size_bytes : t -> int
+
+  val sketch : t -> Xtwig_sketch.Sketch.t option
+  (** The XSKETCH synopsis this summary is, if it is one. An engine
+      session over such an instance answers from its own session
+      table of that sketch's plans ({!Xtwig_sketch.Plan.cache}) and
+      can apply document updates to it; every other backend answers
+      through [estimate]. *)
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
@@ -53,22 +60,26 @@ val name_of : instance -> string
 val estimate : instance -> twig -> float
 val coarse : instance -> twig -> float
 val size_bytes : instance -> int
+val sketch : instance -> Xtwig_sketch.Sketch.t option
 
 (** {1 Built-in backends} *)
 
 module Xsketch : S
-(** The paper's estimator: XBUILD construction, TREEPARSE estimation,
+(** The paper's estimator: XBUILD construction (the library's default
+    recipe, {!Xtwig_sketch.Xbuild.build}), TREEPARSE estimation,
     [Sketch_io] persistence. [estimate] is one-shot: it enumerates the
     twig's embeddings, compiles and runs a plan for each and keeps
     none ({!Xtwig_sketch.Estimator.estimate}) — this is the path
-    [Xtwig.optimize]'s costing takes. [coarse] is the label-split
-    estimate, its synopsis built on first use, once per instance, under
-    the instance's mutex: a pooled session may degrade on several
-    domains at once. *)
+    [Xtwig.optimize]'s costing takes; an engine session answers from
+    its own plan table instead ([sketch] is [Some]). [coarse] is the
+    label-split estimate, its synopsis built on first use, once per
+    instance, under the instance's mutex: a pooled session may degrade
+    on several domains at once. It is the only label-split floor an
+    engine session has. *)
 
 module Cst : S
 (** The correlated-suffix-tree baseline. No persistent format;
-    [coarse] reuses [estimate] (already cheap). *)
+    [coarse] reuses [estimate] (already cheap); [sketch] is [None]. *)
 
 (** {1 Registry} *)
 

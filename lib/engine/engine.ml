@@ -1,8 +1,5 @@
 module Sketch = Xtwig_sketch.Sketch
-module Est = Xtwig_sketch.Estimator
 module Plan = Xtwig_sketch.Plan
-module Xbuild = Xtwig_sketch.Xbuild
-module Wgen = Xtwig_workload.Wgen
 module Pool = Xtwig_util.Pool
 module Xerror = Xtwig_util.Xerror
 module Counters = Xtwig_util.Counters
@@ -74,7 +71,6 @@ type stats = {
   retries : int;
   degraded : int;
   breaker_trips : int;
-  build_s : float;
   estimate_s : float;
 }
 
@@ -83,20 +79,13 @@ type stats = {
    in flight deciding whether to close again. *)
 type breaker = Closed | Open_until of float | Half_open
 
-(* What actually answers a query: either the compiled XSKETCH fast
-   path (the session table of plans and recorded answers + coarse
-   label-split fallback) or an opaque estimator behind the
-   Estimator_backend signature. The hardening fabric (retry, breaker,
-   timeout, guards) is shared. *)
-type core =
-  | Sk of {
-      sk : Sketch.t;
-      coarse : Sketch.t;  (* label-split fallback, shares the document *)
-      table : Plan.cache;
-          (* sk's plans or recorded answers and guard facts, per exact
-             twig *)
-    }
-  | Bk of Backend.instance
+(* What answers a query: the backend instance, and, when the instance
+   carries an XSKETCH sketch, that sketch's session table of plans,
+   recorded answers and guard facts per exact twig. Without a table
+   the instance's own [estimate] answers. The coarse floor, the name
+   and the size always come from the instance; the hardening fabric
+   (retry, breaker, timeout, guards) is shared. *)
+type core = { inst : Backend.instance; table : Plan.cache option }
 
 type t = {
   mutable core : core;
@@ -107,7 +96,6 @@ type t = {
   n_jobs : int;
   default_timeout : float;
   on_embedding : (Xtwig_path.Path_types.twig -> unit) option;
-  build_s : float;
   (* hardening knobs *)
   retry_limit : int;
   backoff_s : float;
@@ -149,48 +137,14 @@ let session_metrics name =
 
 let now = Unix.gettimeofday
 
-let make_pool jobs =
-  if jobs > 1 then Some (Pool.create ~domains:jobs ()) else None
-
-let mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s ~retries ~backoff_s
-    ~breaker_threshold ~breaker_cooldown_s ~max_embeddings ~max_embed_nodes
-    ?pool () =
-  let h_query_s, fb_counter = session_metrics name in
+let core_of ~max_embeddings ~max_embed_nodes inst =
   {
-    core;
-    name;
-    pool = (match pool with Some p -> p | None -> make_pool jobs);
-    n_jobs = jobs;
-    default_timeout = timeout_s;
-    on_embedding;
-    build_s;
-    retry_limit = retries;
-    backoff_s;
-    breaker_threshold;
-    breaker_cooldown_s;
-    max_embeddings;
-    max_embed_nodes;
-    closed = false;
-    queries_served = 0;
-    batches = 0;
-    timeouts = 0;
-    retries_total = 0;
-    degraded = 0;
-    breaker_trips = 0;
-    breaker = Closed;
-    consec_failures = 0;
-    estimate_s = 0.0;
-    h_query_s;
-    fb_counter;
+    inst;
+    table =
+      Option.map
+        (Plan.create_cache ~max_embeddings ~max_embed_nodes)
+        (Backend.sketch inst);
   }
-
-let sk_core ~max_embeddings ~max_embed_nodes sk =
-  Sk
-    {
-      sk;
-      coarse = Sketch.default_of_doc (Sketch.doc sk);
-      table = Plan.create_cache ~max_embeddings ~max_embed_nodes sk;
-    }
 
 (* A deadline must be positive ([infinity] means none): a negative or
    zero one degrades every query, and a NaN one never fires. *)
@@ -198,57 +152,51 @@ let bad_timeout timeout_s =
   Xerror.Usage (Printf.sprintf "timeout must be > 0 seconds, got %g" timeout_s)
 
 let check_session_args ~jobs ~retries ~timeout_s =
-  if jobs < 1 then Error (Xerror.Engine "jobs must be >= 1")
-  else if retries < 0 then Error (Xerror.Engine "retries must be >= 0")
+  if jobs < 1 then Error (Xerror.Usage "jobs must be >= 1")
+  else if retries < 0 then Error (Xerror.Usage "retries must be >= 0")
   else if not (timeout_s > 0.0) then Error (bad_timeout timeout_s)
   else Ok ()
 
-let of_sketch ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
-    ?(backoff_s = 0.001) ?(breaker_threshold = 8) ?(breaker_cooldown_s = 0.25)
-    ?(max_embeddings = 100_000) ?(max_embed_nodes = 1_000_000) ?on_embedding sk
-    =
-  Result.map
-    (fun () ->
-      let core = sk_core ~max_embeddings ~max_embed_nodes sk in
-      mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s:0.0 ~retries
-        ~backoff_s ~breaker_threshold ~breaker_cooldown_s ~max_embeddings
-        ~max_embed_nodes ())
-    (check_session_args ~jobs ~retries ~timeout_s)
-
 let of_backend ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
     ?(backoff_s = 0.001) ?(breaker_threshold = 8) ?(breaker_cooldown_s = 0.25)
-    ?on_embedding inst =
+    ?(max_embeddings = 100_000) ?(max_embed_nodes = 1_000_000) ?on_embedding
+    inst =
   Result.map
     (fun () ->
-      mk ?name ~core:(Bk inst) ~jobs ~timeout_s ~on_embedding ~build_s:0.0
-        ~retries ~backoff_s ~breaker_threshold ~breaker_cooldown_s
-        ~max_embeddings:max_int ~max_embed_nodes:max_int ())
+      let h_query_s, fb_counter = session_metrics name in
+      {
+        core = core_of ~max_embeddings ~max_embed_nodes inst;
+        name;
+        pool = (if jobs > 1 then Some (Pool.create ~domains:jobs ()) else None);
+        n_jobs = jobs;
+        default_timeout = timeout_s;
+        on_embedding;
+        retry_limit = retries;
+        backoff_s;
+        breaker_threshold;
+        breaker_cooldown_s;
+        max_embeddings;
+        max_embed_nodes;
+        closed = false;
+        queries_served = 0;
+        batches = 0;
+        timeouts = 0;
+        retries_total = 0;
+        degraded = 0;
+        breaker_trips = 0;
+        breaker = Closed;
+        consec_failures = 0;
+        estimate_s = 0.0;
+        h_query_s;
+        fb_counter;
+      })
     (check_session_args ~jobs ~retries ~timeout_s)
 
-let create ?name ?(seed = 42) ?(jobs = 1) ?candidates ?max_steps
-    ?(timeout_s = 5.0) ?(retries = 2) ?(backoff_s = 0.001)
-    ?(breaker_threshold = 8) ?(breaker_cooldown_s = 0.25)
-    ?(max_embeddings = 100_000) ?(max_embed_nodes = 1_000_000) ?on_embedding
-    ~budget doc =
-  let open_session () =
-    let pool = make_pool jobs in
-    let truth = Xbuild.memo_truth doc in
-    let workload prng ~focus =
-      Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
-    in
-    let t0 = now () in
-    let sk =
-      Xbuild.build ?pool ~seed ?candidates ?max_steps ~budget ~workload ~truth
-        doc
-    in
-    let build_s = now () -. t0 in
-    let core = sk_core ~max_embeddings ~max_embed_nodes sk in
-    mk ?name ~core ~jobs ~timeout_s ~on_embedding ~build_s ~retries ~backoff_s
-      ~breaker_threshold ~breaker_cooldown_s ~max_embeddings ~max_embed_nodes
-      ~pool ()
-  in
-  if budget <= 0 then Error (Xerror.Engine "budget must be positive")
-  else Result.map open_session (check_session_args ~jobs ~retries ~timeout_s)
+let of_sketch ?name ?jobs ?timeout_s ?retries ?backoff_s ?breaker_threshold
+    ?breaker_cooldown_s ?max_embeddings ?max_embed_nodes ?on_embedding sk =
+  of_backend ?name ?jobs ?timeout_s ?retries ?backoff_s ?breaker_threshold
+    ?breaker_cooldown_s ?max_embeddings ?max_embed_nodes ?on_embedding
+    (Backend.of_sketch sk)
 
 (* Capped exponential backoff between retry attempts: base * 2^k,
    never more than 50 ms — the engine bounds tail latency, so waiting
@@ -257,14 +205,12 @@ let backoff t k =
   let d = Float.min (t.backoff_s *. (2.0 ** float_of_int k)) 0.05 in
   if d > 0.0 then Unix.sleepf d
 
-(* The coarse estimate is the degradation floor; if even that fails
-   (for XSKETCH it is a one-shot estimate, pure arithmetic, so only a
-   fault-injection hook or a genuine bug could make it raise) the
-   engine still answers. *)
-let coarse_estimate t q =
-  match t.core with
-  | Sk { coarse; _ } -> ( try Est.estimate coarse q with _ -> 0.0)
-  | Bk inst -> ( try Backend.coarse inst q with _ -> 0.0)
+(* The coarse estimate is the degradation floor, the instance's
+   [coarse] (for XSKETCH a one-shot estimate over the label-split
+   synopsis, built on the session's first degraded answer); if even
+   that fails (pure arithmetic, so only a fault-injection hook or a
+   genuine bug could make it raise) the engine still answers. *)
+let coarse_estimate t q = try Backend.coarse t.core.inst q with _ -> 0.0
 
 (* a span's arguments cost a [string_of_int] and a list per call: built
    only while a trace records them *)
@@ -272,7 +218,7 @@ let trace_args trace_id =
   if Trace.enabled () then [ ("trace_id", string_of_int trace_id) ] else []
 
 let no_plans t =
-  let pv_tier = match t.core with Sk _ -> Cache_hit | Bk _ -> Backend_opaque in
+  let pv_tier = if Option.is_none t.core.table then Backend_opaque else Cache_hit in
   { pv_tier; pv_embeddings = 0; pv_compile_ns = 0; pv_run_ns = 0 }
 
 let degrade_answer t ~trace_id ~t0 ~reason ~retries q =
@@ -310,9 +256,9 @@ let eval_one t ~trace_id ~deadline q held pv =
   let run_ns = ref 0 in
   let run_plans () =
     Fault.point "engine.query";
-    match (t.core, held) with
-    | Sk _, Plan.Answer v -> if now () > deadline then None else Some v
-    | Sk _, Plan.Plans plans ->
+    match (t.core.table, held) with
+    | Some _, Plan.Answer v -> if now () > deadline then None else Some v
+    | Some _, Plan.Plans plans ->
         let n = Array.length plans in
         let rec go acc i =
           if i = n then Some acc
@@ -331,7 +277,7 @@ let eval_one t ~trace_id ~deadline q held pv =
           run_ns := !run_ns + ns;
           r
         end
-    | Bk inst, _ ->
+    | None, _ ->
         (* opaque backends evaluate in one step: the deadline is
            checked before (and re-checked after, so an over-budget
            answer still reports Timeout) but cannot interrupt the
@@ -339,7 +285,7 @@ let eval_one t ~trace_id ~deadline q held pv =
         if now () > deadline then None
         else begin
           (match t.on_embedding with None -> () | Some f -> f q);
-          let v = Backend.estimate inst q in
+          let v = Backend.estimate t.core.inst q in
           if now () > deadline then None else Some v
         end
   in
@@ -431,12 +377,12 @@ let compile_prep t ~timeout ~probe i q =
   if breaker_blocks t probe i then Error (Circuit_open, 0)
   else begin
     let deadline = now () +. timeout in
-    match t.core with
-    | Bk _ ->
+    match t.core.table with
+    | None ->
         (* opaque backends have no compile phase: evaluation happens
            in eval_one, under the same deadline *)
         Ok (Plan.Plans [||], no_plans t, deadline, 0)
-    | Sk { table; _ } ->
+    | Some table ->
         let rec attempt k =
           match Plan.lookup table q with
           | { Plan.guarded = true; _ } -> Error (Guard, k)
@@ -541,8 +487,8 @@ let estimate_batch ?timeout_s ?trace_id t queries =
          later sightings run nothing. A degraded answer is the coarse
          floor and is never recorded; its next sighting runs the kept
          plans again. *)
-      (match t.core with
-      | Sk { table; _ } ->
+      (match t.core.table with
+      | Some table ->
           Array.iteri
             (fun i a ->
               match earr.(i) with
@@ -550,7 +496,7 @@ let estimate_batch ?timeout_s ?trace_id t queries =
                   Plan.record table q a.estimate
               | _ -> ())
             answers
-      | Bk _ -> ());
+      | None -> ());
       let answers = Array.to_list answers in
       List.iteri (fun i a -> record_outcome t ~probe:!probe i a) answers;
       let count p = List.fold_left (fun n a -> if p a then n + 1 else n) 0 answers in
@@ -599,23 +545,24 @@ let estimate ?timeout_s ?trace_id t q =
    see the core their batch captured. The session table is keyed to
    the old sketch and starts fresh: each query compiles again on its
    first sighting after the update, and no recorded answer outlives
-   its sketch. *)
+   its sketch. The new instance's coarse floor is built only if a
+   later answer degrades. *)
 let update t delta =
   if t.closed then Error (Xerror.Engine "session is closed")
   else
-    match t.core with
-    | Bk inst ->
+    match Backend.sketch t.core.inst with
+    | None ->
         Error
           (Xerror.Usage
              (Printf.sprintf
                 "Engine.update: %s-backend session holds no document"
-                (Backend.name_of inst)))
-    | Sk { sk; _ } -> (
+                (Backend.name_of t.core.inst)))
+    | Some sk -> (
         match Sketch.apply_delta sk delta with
         | sk' ->
             t.core <-
-              sk_core ~max_embeddings:t.max_embeddings
-                ~max_embed_nodes:t.max_embed_nodes sk';
+              core_of ~max_embeddings:t.max_embeddings
+                ~max_embed_nodes:t.max_embed_nodes (Backend.of_sketch sk');
             Ok ()
         | exception Invalid_argument msg -> Error (Xerror.Usage msg)
         | exception Fault.Injected _ ->
@@ -623,15 +570,14 @@ let update t delta =
         | exception e -> Error (Xerror.Engine (Printexc.to_string e)))
 
 let sketch t =
-  match t.core with
-  | Sk { sk; _ } -> sk
-  | Bk inst ->
+  match Backend.sketch t.core.inst with
+  | Some sk -> sk
+  | None ->
       invalid_arg
         (Printf.sprintf "Engine.sketch: %s-backend session has no sketch"
-           (Backend.name_of inst))
+           (Backend.name_of t.core.inst))
 
-let backend_name t =
-  match t.core with Sk _ -> "xsketch" | Bk inst -> Backend.name_of inst
+let backend_name t = Backend.name_of t.core.inst
 
 let name t = t.name
 
@@ -646,17 +592,13 @@ let stats t =
     name = Option.value t.name ~default:"";
     backend = backend_name t;
     jobs = t.n_jobs;
-    sketch_bytes =
-      (match t.core with
-      | Sk { sk; _ } -> Sketch.size_bytes sk
-      | Bk inst -> Backend.size_bytes inst);
+    sketch_bytes = Backend.size_bytes t.core.inst;
     queries_served = t.queries_served;
     batches = t.batches;
     timeouts = t.timeouts;
     retries = t.retries_total;
     degraded = t.degraded;
     breaker_trips = t.breaker_trips;
-    build_s = t.build_s;
     estimate_s = t.estimate_s;
   }
 
@@ -665,8 +607,3 @@ let close t =
     t.closed <- true;
     match t.pool with None -> () | Some p -> Pool.shutdown p
   end
-
-let with_engine ?seed ?jobs ?candidates ?max_steps ?timeout_s ~budget doc f =
-  match create ?seed ?jobs ?candidates ?max_steps ?timeout_s ~budget doc with
-  | Error e -> Error e
-  | Ok t -> Ok (Fun.protect ~finally:(fun () -> close t) (fun () -> f t))

@@ -39,23 +39,14 @@ type t = {
    the initial load and every reload *)
 let open_session ~jobs ~timeout_s ~name src =
   let* doc = Xtwig.doc_of_file src.doc_path in
-  let* eng =
-    match String.lowercase_ascii src.backend with
-    | "xsketch" ->
-        let* sk =
-          match src.sketch_path with
-          | Some p -> Xtwig.load_sketch doc p
-          | None -> Xtwig.build_sketch ~budget:src.budget ~seed:src.seed doc
-        in
-        Xtwig.open_sketch_session ~name ~jobs ~timeout_s sk
-    | backend ->
-        let* inst =
-          match src.sketch_path with
-          | Some p -> Xtwig.load_backend ~backend doc p
-          | None -> Xtwig.build_backend ~backend ~budget:src.budget ~seed:src.seed doc
-        in
-        Xtwig.open_backend_session ~name ~jobs ~timeout_s inst
+  let* inst =
+    match src.sketch_path with
+    | Some p -> Xtwig.load_backend ~backend:src.backend doc p
+    | None ->
+        Xtwig.build_backend ~backend:src.backend ~budget:src.budget
+          ~seed:src.seed doc
   in
+  let* eng = Xtwig.open_backend_session ~name ~jobs ~timeout_s inst in
   Ok (doc, eng)
 
 let valid_name n =

@@ -21,9 +21,3 @@ val parse_file_res : string -> (Doc.t, Xtwig_util.Xerror.t) result
 (** As {!parse_string_res}; file-system failures are [Xerror.Io].
     Streams the file through a bounded window ({!Sax.parse_channel})
     instead of materialising it. *)
-
-val reference_parse_string_res : string -> (Doc.t, Xtwig_util.Xerror.t) result
-(** The PR-8 whole-string recursive parser, kept as the differential
-    baseline: [bench ingest] reports the streaming parser's speedup
-    over it and the tests assert both produce identical documents.
-    Not on any production path; no fault point. *)

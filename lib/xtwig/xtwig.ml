@@ -2,7 +2,6 @@ module Xerror = Xtwig_util.Xerror
 module Backend = Xtwig_backend.Estimator_backend
 module Engine = Xtwig_engine.Engine
 module Pool = Xtwig_util.Pool
-module Wgen = Xtwig_workload.Wgen
 
 type doc = Xtwig_xml.Doc.t
 type twig = Xtwig_path.Path_types.twig
@@ -119,10 +118,6 @@ let build_sketch ?(budget = 8192) ?(seed = 42) ?candidates ?max_steps
   if budget < 1 then Error (Xerror.Usage "budget must be >= 1")
   else if jobs < 1 then Error (Xerror.Usage "jobs must be >= 1")
   else
-    let truth = Xtwig_sketch.Xbuild.memo_truth doc in
-    let workload prng ~focus =
-      Wgen.generate ~focus { Wgen.paper_p with n_queries = 10 } prng doc
-    in
     let on_step =
       Option.map
         (fun f _ (info : Xtwig_sketch.Xbuild.step_info) ->
@@ -131,7 +126,7 @@ let build_sketch ?(budget = 8192) ?(seed = 42) ?candidates ?max_steps
     in
     let build pool =
       Xtwig_sketch.Xbuild.build ?pool ?candidates ?max_steps ?on_step ~seed
-        ~budget ~workload ~truth doc
+        ~budget doc
     in
     match
       if jobs > 1 then Pool.with_pool ~domains:jobs (fun p -> build (Some p))
@@ -167,15 +162,15 @@ let load_backend ~backend doc path =
 
 (* ---------------- sessions ---------------- *)
 
-let open_sketch_session ?name ?jobs ?timeout_s ?retries ?backoff_s
-    ?breaker_threshold ?breaker_cooldown_s sk =
-  Engine.of_sketch ?name ?jobs ?timeout_s ?retries ?backoff_s
-    ?breaker_threshold ?breaker_cooldown_s sk
-
 let open_backend_session ?name ?jobs ?timeout_s ?retries ?backoff_s
     ?breaker_threshold ?breaker_cooldown_s inst =
   Engine.of_backend ?name ?jobs ?timeout_s ?retries ?backoff_s
     ?breaker_threshold ?breaker_cooldown_s inst
+
+let open_sketch_session ?name ?jobs ?timeout_s ?retries ?backoff_s
+    ?breaker_threshold ?breaker_cooldown_s sk =
+  open_backend_session ?name ?jobs ?timeout_s ?retries ?backoff_s
+    ?breaker_threshold ?breaker_cooldown_s (Backend.of_sketch sk)
 
 let update_session = Engine.update
 let estimate = Engine.estimate

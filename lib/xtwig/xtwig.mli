@@ -12,17 +12,15 @@
     {!Xtwig_xml.Xml_parser}, {!Xtwig_path.Path_parser} export only
     [_res] entry points); this facade is the supported way in.
 
-    Two kinds of estimator sessions exist, mirroring the engine:
-
-    - {!open_sketch_session} over a concrete XSKETCH ({!sketch}) —
-      the compiled fast path with plan caching, the one the paper
-      benchmarks and [xtwigd] serves by default;
-    - {!open_backend_session} over any registered
-      {!Backend.instance} — the generic path ([--backend cst], future
-      estimators), same hardening fabric, opaque evaluation.
-
-    Both return an {!Engine.t}; batches, stats, breaker state and
-    close are uniform from there. *)
+    Every estimator session opens through one door,
+    {!open_backend_session} over a registered {!Backend.instance};
+    {!open_sketch_session} wraps a concrete XSKETCH ({!sketch}) in its
+    instance first. An instance that carries a sketch gets the
+    compiled path with plan caching — the one the paper benchmarks
+    and [xtwigd] serves by default; any other backend ([--backend
+    cst], future estimators) gets the same hardening fabric around
+    opaque evaluation. Both return an {!Engine.t}; batches, stats,
+    breaker state and close are uniform from there. *)
 
 module Xerror = Xtwig_util.Xerror
 module Backend = Xtwig_backend.Estimator_backend
@@ -125,11 +123,12 @@ val build_sketch :
   doc ->
   (sketch, Xerror.t) result
 (** Run XBUILD (defaults: budget 8192, seed 42, the library's
-    candidate/step defaults, [jobs] = 1 — candidate scoring fans out
-    to a domain pool when [jobs] > 1). [on_step] observes every
-    applied refinement (the CLI prints progress with it). Errors are
-    [Xerror.Usage] (non-positive budget/jobs) or [Xerror.Engine] (a
-    fault-injection point fired during the build). *)
+    candidate/step defaults and scoring recipe, [jobs] = 1 — candidate
+    scoring fans out to a domain pool when [jobs] > 1). [on_step]
+    observes every applied refinement (the CLI prints progress with
+    it). Errors are [Xerror.Usage] (non-positive budget/jobs) or
+    [Xerror.Engine] (a fault-injection point fired during the
+    build). *)
 
 (** {1 Incremental updates} *)
 
@@ -151,10 +150,10 @@ val update_sketch : ?reuse:bool -> sketch -> delta -> (sketch, Xerror.t) result
 
 val update_session : Engine.t -> delta -> (unit, Xerror.t) result
 (** {!update_sketch} inside a live session: swaps the maintained
-    sketch in, rebuilds the coarse fallback, and starts a fresh
-    session table, so each query compiles again on its first
-    sighting. Owner-domain only, between batches — see
-    {!Engine.update}. *)
+    sketch in and starts a fresh session table, so each query
+    compiles again on its first sighting; the coarse floor is rebuilt
+    only if a later answer degrades. Owner-domain only, between
+    batches — see {!Engine.update}. *)
 
 val save_sketch :
   ?budget:int -> ?seed:int -> sketch -> string -> (unit, Xerror.t) result
@@ -199,10 +198,11 @@ val open_sketch_session :
   ?breaker_cooldown_s:float ->
   sketch ->
   (Engine.t, Xerror.t) result
-(** The compiled XSKETCH path (one session table keyed by exact twig:
-    a query compiles and runs once, then its answer is recorded; pool
-    fan-out). [name] labels the session's
-    metrics with a [tenant] label — see {!Engine.of_sketch}. *)
+(** {!open_backend_session} over [Backend.of_sketch sk]: the compiled
+    XSKETCH path (one session table keyed by exact twig: a query
+    compiles and runs once, then its answer is recorded; pool
+    fan-out). [name] labels the session's metrics with a [tenant]
+    label — see {!Engine.of_backend}. *)
 
 val open_backend_session :
   ?name:string ->
@@ -215,7 +215,8 @@ val open_backend_session :
   Backend.instance ->
   (Engine.t, Xerror.t) result
 (** Any registered backend behind the same hardening fabric — see
-    {!Engine.of_backend}. *)
+    {!Engine.of_backend}; an instance that carries a sketch takes the
+    compiled path. *)
 
 val estimate :
   ?timeout_s:float ->
@@ -227,7 +228,8 @@ val estimate :
     plan tier — [cache_hit] when the session had the query's plans or
     its recorded answer,
     [fresh_compile] when this request compiled them, [backend] on a
-    backend session — embedding count, compile and run time). *)
+    session whose backend has no sketch — embedding count, compile and
+    run time). *)
 
 val estimate_batch :
   ?timeout_s:float ->

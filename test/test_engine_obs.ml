@@ -277,9 +277,56 @@ let check_twins label sk =
 let test_twin_keys_coarsest () =
   check_twins "coarsest" (Sketch.default_of_doc (Lazy.force imdb05))
 
-let test_twin_keys_xbuild () =
-  check_twins "xbuild"
-    (get (Xtwig.build_sketch ~budget:16_000 ~seed:7 (Lazy.force imdb05)))
+let xbuild05 =
+  lazy (get (Xtwig.build_sketch ~budget:16_000 ~seed:7 (Lazy.force imdb05)))
+
+let test_twin_keys_xbuild () = check_twins "xbuild" (Lazy.force xbuild05)
+
+(* The label-split floor is the backend instance's, built on a
+   session's first degraded answer: opening a session builds no sketch,
+   an update builds only what the bare delta builds, and after the
+   updates a degraded answer is the floor of the updated document, bit
+   for bit. *)
+let test_lazy_coarse_floor () =
+  let sk = Lazy.force xbuild05 in
+  let doc = Sketch.doc sk in
+  let builds () = Xtwig_util.Counters.(value (counter "sketch.builds")) in
+  let built f =
+    let b0 = builds () in
+    let v = f () in
+    (v, builds () - b0)
+  in
+  let fragment =
+    get
+      (Xtwig_xml.Xml_parser.parse_string_res
+         "<movie><title>Delta</title><year>1999</year><actor>A</actor>\
+          <actor>B</actor><producer>P</producer></movie>")
+  in
+  let insert = Sketch.Insert { parent = Xtwig_xml.Doc.root doc; fragment } in
+  (* the fragment's root takes the next node id *)
+  let delete = Sketch.Delete (Xtwig_xml.Doc.size doc) in
+  let sk1, n_insert = built (fun () -> Sketch.apply_delta sk insert) in
+  let _, n_delete = built (fun () -> Sketch.apply_delta sk1 delete) in
+  let eng, n_open = built (fun () -> get (Engine.of_sketch sk)) in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  Alcotest.(check int) "opening builds no sketch" 0 n_open;
+  let (), n = built (fun () -> get (Engine.update eng insert)) in
+  Alcotest.(check int) "insert builds what the bare delta builds" n_insert n;
+  let (), n = built (fun () -> get (Engine.update eng delete)) in
+  Alcotest.(check int) "delete builds what the bare delta builds" n_delete n;
+  let qs =
+    Wgen.generate { Wgen.paper_p with Wgen.n_queries = 12 } (Prng.create 5) doc
+  in
+  let answers = get (Engine.estimate_batch ~timeout_s:1e-9 eng qs) in
+  let floor = Sketch.default_of_doc (Sketch.doc (Engine.sketch eng)) in
+  List.iter2
+    (fun q (a : Engine.answer) ->
+      Alcotest.(check bool) "degraded" true a.Engine.fallback;
+      Alcotest.(check int64)
+        "answer = floor of the updated document"
+        (Int64.bits_of_float (Est.estimate floor q))
+        (Int64.bits_of_float a.Engine.estimate))
+    qs answers
 
 (* Recorded answers never outlive their sketch: after an
    [Engine.update] insert and then a delete, the session's answers,
@@ -343,6 +390,8 @@ let () =
             `Quick test_explain_tier_is_per_session;
           Alcotest.test_case "recorded answers fresh across updates" `Quick
             test_recorded_answers_fresh_across_updates;
+          Alcotest.test_case "coarse floor built lazily, not at open or update"
+            `Quick test_lazy_coarse_floor;
         ] );
       ( "exact session keys",
         [

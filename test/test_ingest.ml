@@ -67,7 +67,7 @@ let test_differential_corner_cases () =
   List.iter
     (fun s ->
       let a = parse s in
-      let b = ok_exn (P.reference_parse_string_res s) in
+      let b = ok_exn (Xml_reference.parse_string_res s) in
       check_docs_identical s a b)
     corner_cases
 
@@ -76,7 +76,7 @@ let test_differential_chunk_sizes () =
      token force mid-name, mid-text and mid-entity refills *)
   List.iter
     (fun s ->
-      let b = ok_exn (P.reference_parse_string_res s) in
+      let b = ok_exn (Xml_reference.parse_string_res s) in
       List.iter
         (fun chunk ->
           let a = Sax.parse_string ~chunk s in
@@ -89,7 +89,7 @@ let test_differential_fixtures_and_datasets () =
     (fun doc ->
       let s = W.to_string doc in
       let a = parse s in
-      let b = ok_exn (P.reference_parse_string_res s) in
+      let b = ok_exn (Xml_reference.parse_string_res s) in
       check_docs_identical "fixture/dataset" a b;
       (* a bounded window on a realistic input exercises many refills *)
       check_docs_identical "chunk 997" (Sax.parse_string ~chunk:997 s) b;
@@ -105,7 +105,7 @@ let test_differential_fixtures_and_datasets () =
 let test_error_parity () =
   List.iter
     (fun s ->
-      match (P.parse_string_res s, P.reference_parse_string_res s) with
+      match (P.parse_string_res s, Xml_reference.parse_string_res s) with
       | Error (Xerror.Parse (Xml, m1)), Error (Xerror.Parse (Xml, m2)) ->
           Alcotest.(check string) ("error message for " ^ s) m2 m1
       | Ok _, Ok _ -> Alcotest.failf "both parsers accepted %s" s

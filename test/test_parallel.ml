@@ -422,11 +422,11 @@ let test_engine_closed_and_invalid () =
   | Ok _ -> Alcotest.fail "expected Engine error on closed session"
   | Error e -> Alcotest.fail (Xerror.to_string e));
   (match Engine.of_sketch ~jobs:0 sk with
-  | Error (Xerror.Engine _) -> ()
-  | _ -> Alcotest.fail "expected Engine error on jobs=0");
-  match Engine.create ~budget:0 doc with
-  | Error (Xerror.Engine _) -> ()
-  | _ -> Alcotest.fail "expected Engine error on budget=0"
+  | Error (Xerror.Usage _) -> ()
+  | _ -> Alcotest.fail "expected Usage error on jobs=0");
+  match Xtwig.build_sketch ~budget:0 doc with
+  | Error (Xerror.Usage _) -> ()
+  | _ -> Alcotest.fail "expected Usage error on budget=0"
 
 (* Every entry point refuses a deadline that is not positive with a
    usage error: a negative or zero one would degrade every query, a NaN
@@ -442,7 +442,6 @@ let test_engine_rejects_deadline timeout_s () =
   refused "of_sketch" (Engine.of_sketch ~timeout_s sk);
   refused "of_backend"
     (Engine.of_backend ~timeout_s (Xtwig_backend.Estimator_backend.of_sketch sk));
-  refused "create" (Engine.create ~timeout_s ~budget:1000 doc);
   let eng = get (Engine.of_sketch ~timeout_s:infinity sk) in
   Fun.protect
     ~finally:(fun () -> Engine.close eng)
