@@ -333,6 +333,7 @@ let estimate_cmd =
     code_of
       (with_obs ~trace ~metrics @@ fun () ->
        with_fault fault @@ fun () ->
+       let* () = Engine.check_session_args ~jobs ~timeout_s:timeout () in
        let* doc = load file in
        let* q = Xtwig.twig_of_string query in
        let* engine, planner =
@@ -574,6 +575,7 @@ let bench_batch_cmd =
     code_of
       (with_obs ~trace ~metrics @@ fun () ->
        with_fault fault @@ fun () ->
+       let* () = Engine.check_session_args ~jobs ~timeout_s:timeout () in
        let* doc = load file in
        let* () =
          if n < 1 then Error (Xerror.Usage "--queries must be >= 1") else Ok ()
@@ -756,6 +758,7 @@ let stats_cmd =
     code_of
       (with_obs ~trace ~metrics @@ fun () ->
        with_fault fault @@ fun () ->
+       let* () = Engine.check_session_args ~jobs ~timeout_s:timeout () in
        let* doc = load file in
        let* () =
          if n < 1 then Error (Xerror.Usage "--queries must be >= 1") else Ok ()

@@ -5,6 +5,7 @@ module Xerror = Xtwig_util.Xerror
 module Counters = Xtwig_util.Counters
 module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
+module Log = Xtwig_obs.Log
 module Fault = Xtwig_fault.Fault
 module Backend = Xtwig_backend.Estimator_backend
 
@@ -151,7 +152,7 @@ let core_of ~max_embeddings ~max_embed_nodes inst =
 let bad_timeout timeout_s =
   Xerror.Usage (Printf.sprintf "timeout must be > 0 seconds, got %g" timeout_s)
 
-let check_session_args ~jobs ~retries ~timeout_s =
+let check_session_args ?(jobs = 1) ?(retries = 0) ?(timeout_s = infinity) () =
   if jobs < 1 then Error (Xerror.Usage "jobs must be >= 1")
   else if retries < 0 then Error (Xerror.Usage "retries must be >= 0")
   else if not (timeout_s > 0.0) then Error (bad_timeout timeout_s)
@@ -190,7 +191,7 @@ let of_backend ?name ?(jobs = 1) ?(timeout_s = 5.0) ?(retries = 2)
         h_query_s;
         fb_counter;
       })
-    (check_session_args ~jobs ~retries ~timeout_s)
+    (check_session_args ~jobs ~retries ~timeout_s ())
 
 let of_sketch ?name ?jobs ?timeout_s ?retries ?backoff_s ?breaker_threshold
     ?breaker_cooldown_s ?max_embeddings ?max_embed_nodes ?on_embedding sk =
@@ -211,6 +212,15 @@ let backoff t k =
    that fails (pure arithmetic, so only a fault-injection hook or a
    genuine bug could make it raise) the engine still answers. *)
 let coarse_estimate t q = try Backend.coarse t.core.inst q with _ -> 0.0
+
+(* what raised out of a query's last attempt, which its degraded
+   answer drops: a [Warn] event naming the stage and the exception *)
+let log_fault t ~stage e =
+  if Log.enabled () then
+    Log.warn "engine.fallback"
+      ~fields:
+        ([ ("stage", Log.S stage); ("error", Log.S (Printexc.to_string e)) ]
+        @ match t.name with Some n -> [ ("tenant", Log.S n) ] | None -> [])
 
 (* a span's arguments cost a [string_of_int] and a list per call: built
    only while a trace records them *)
@@ -297,7 +307,9 @@ let eval_one t ~trace_id ~deadline q held pv =
         Metrics.incr c_retries;
         backoff t k;
         attempt (k + 1)
-    | exception _ -> (coarse_estimate t q, Some Fault, k)
+    | exception e ->
+        log_fault t ~stage:"run" e;
+        (coarse_estimate t q, Some Fault, k)
   in
   let estimate, reason, retries = attempt 0 in
   (match reason with
@@ -400,7 +412,9 @@ let compile_prep t ~timeout ~probe i q =
               Metrics.incr c_retries;
               backoff t k;
               attempt (k + 1)
-          | exception _ -> Error (Fault, k)
+          | exception e ->
+              log_fault t ~stage:"compile" e;
+              Error (Fault, k)
         in
         if now () > deadline then Error (Timeout, 0) else attempt 0
   end

@@ -81,7 +81,11 @@
     same outcomes whether an answer ran plans or was recorded.
 
     Degradations are counted per reason in
-    [engine.fallback{reason=...}], retries in [engine.retries], and
+    [engine.fallback{reason=...}], retries in [engine.retries]; a
+    [Fault] degradation also names what raised out of its last attempt
+    in a [Warn] {!Xtwig_obs.Log} event [engine.fallback] (fields
+    [stage], ["compile"] or ["run"], [error] and, for a named session,
+    [tenant]) while logging is enabled; and
     the breaker state is exported as the [engine.circuit_state] gauge
     (0 closed, 1 open, 2 half-open) — see {!Xtwig_obs.Metrics}. *)
 
@@ -161,6 +165,14 @@ type stats = {
   breaker_trips : int;  (** times the circuit breaker opened *)
   estimate_s : float;  (** cumulative batch evaluation wall time *)
 }
+
+val check_session_args :
+  ?jobs:int -> ?retries:int -> ?timeout_s:float -> unit -> (unit, Xtwig_util.Xerror.t) result
+(** The one rule {!of_backend} applies to its arguments, for a caller
+    that should refuse them before the work a session needs (reading
+    the document, building its sketch): [jobs >= 1], [retries >= 0]
+    and a positive [timeout_s] ([infinity] means none), each a
+    [Usage] error otherwise. An omitted argument passes. *)
 
 val of_backend :
   ?name:string ->

@@ -3,6 +3,7 @@ module Hist1d = Xtwig_hist.Hist1d
 module Value = Xtwig_xml.Value
 module Counters = Xtwig_util.Counters
 module Trace = Xtwig_obs.Trace
+module Log = Xtwig_obs.Log
 module Fault = Xtwig_fault.Fault
 
 (* ---------------- constraint propagation ---------------- *)
@@ -373,6 +374,9 @@ let plan ~estimate ?(vhist = fun _ -> None) t =
           | p ->
               if p.changed then Counters.incr m_changed;
               p
-          | exception _ ->
+          | exception e ->
               Counters.incr m_fallbacks;
+              (* the cause, which the default-order plan drops *)
+              if Log.enabled () then
+                Log.warn "opt.fallback" ~fields:[ ("error", Log.S (Printexc.to_string e)) ];
               identity_plan ~twig:t ~fallback:true))

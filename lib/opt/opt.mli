@@ -117,7 +117,9 @@ val plan :
     propagation pass (default: none known). Total: any exception from
     the estimator — and the [opt.plan] fault point — degrades to
     {!identity_plan} with [fallback = true] (counted in
-    [opt.fallbacks]). Metrics: [opt.plans], [opt.order_changed],
+    [opt.fallbacks], and logged as a [Warn] {!Xtwig_obs.Log} event
+    [opt.fallback] whose [error] field is the exception, while logging
+    is enabled). Metrics: [opt.plans], [opt.order_changed],
     [opt.fallbacks], [opt.plan_ns]; span [opt.plan]. *)
 
 val apply : plan -> Xtwig_path.Path_types.twig -> Xtwig_path.Path_types.twig

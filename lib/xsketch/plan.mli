@@ -11,18 +11,32 @@
     dimension is an F-stable edge, so a bucket never changes a branch's
     existence fraction.
 
-    {!run} interprets the plan as a flat numeric kernel over a
-    per-domain [Bigarray] float64 arena and the plan's int32 slab,
-    allocating zero words on the OCaml heap in steady state (held by a
-    [Gc.minor_words] delta over {!run_batch} in test/test_plan.ml).
+    A plan is three flat arrays: an int32 slab of node blocks and
+    dimension tables, its float constants, and the edge histograms it
+    enumerates. {!run} interprets it as a flat numeric kernel over a
+    [Bigarray] float64 arena, allocating zero words on the OCaml heap
+    in steady state (held by a [Gc.minor_words] delta over
+    {!run_batch} in test/test_plan.ml).
+
+    The compiler and the kernel work in one scratch record per domain
+    (the arena, the plan under construction and every working array
+    of the compiler), {e borrowed, never shared}: a call takes it from
+    its domain's slot with [Atomic.exchange] and puts it back when
+    done, and a call that finds the slot empty (a second systhread of
+    the domain, a reentrant call) works in a fresh record. Plans are
+    immutable and may be run on any domain, by any thread.
 
     Every estimate compiles and runs plans. A one-shot estimate
     ({!estimate_roots}, behind {!Estimator.estimate}: XBUILD's
     candidate scoring, the optimizer's costing, the engine's coarse
-    fallback, the CLI) compiles each embedding against a fresh compile
-    context, runs it and drops it. An engine session's {!cache}
-    compiles a query's plans on its first sighting, runs them until
-    they answer clean once and keeps only their sum from then on.
+    fallback, the CLI) compiles each embedding into the scratch, runs
+    it there and drops it, so in steady state a compile allocates only
+    the few boxed floats the sketch's accessors return (at most 250
+    words per plan, held by test/test_plan.ml). A plan that outlives
+    its call ({!compile_roots}, an engine session's {!cache}) is the
+    same layout copied out into arrays it owns. A session compiles a
+    query's plans on its first sighting, runs them until they answer
+    clean once and keeps only their sum from then on.
 
     {b Byte-identity:} a plan compiled from [e] replays the recursive
     reference evaluator's floating-point operations in the exact same
@@ -33,16 +47,19 @@
 type t
 
 val compile_roots : Sketch.t -> Embed.enode list -> t array
-(** Compile every embedding of one query against one sketch, in
-    enumeration order, sharing one compile context. Each plan is
-    counted under [plan.compiles] and timed under [plan.compile_ns]. *)
+(** Compile every embedding of one query (one enumeration) against one
+    sketch, in enumeration order, each into arrays of its own. Each
+    plan is counted under [plan.compiles], timed under
+    [plan.compile_ns] and, while a trace records, spanned as
+    [plan.compile]. *)
 
 val estimate_roots : Sketch.t -> Embed.enode list -> float
-(** The one-shot estimate of one query from its embeddings: each
-    embedding in turn is compiled against one fresh compile context,
-    run and dropped before the next is compiled, and the runs are
-    summed in enumeration order. Counts one [plan.compiles] and one
-    [plan.runs] per embedding; keeps nothing. *)
+(** The one-shot estimate of one query from its embeddings (one
+    enumeration): each embedding in turn is compiled into the borrowed
+    scratch, run there and dropped before the next is compiled, and
+    the runs are summed in enumeration order. Counts one
+    [plan.compiles] and one [plan.runs] per embedding; keeps
+    nothing. *)
 
 val branch_frac : Sketch.t -> int -> Embed.ebranch list -> float
 (** [branch_frac t u alts]: the existence fraction of one branching
@@ -51,10 +68,10 @@ val branch_frac : Sketch.t -> int -> Embed.ebranch list -> float
     branch factor is the product of these over a node's predicates. *)
 
 val run : t -> float
-(** Evaluate a compiled plan (the estimate of its embedding). Counted
-    under [plan.runs]. The returned float is boxed by the caller's
-    binding (we compile without flambda); the interpreter itself does
-    not allocate. *)
+(** Evaluate a compiled plan (the estimate of its embedding) in the
+    borrowed scratch's arena. Counted under [plan.runs]. The returned
+    float is boxed by the caller's binding (we compile without
+    flambda); the interpreter itself does not allocate. *)
 
 val run_batch : t array -> float array -> unit
 (** [run_batch ts out] stores [run ts.(i)] into [out.(i)] for every

@@ -375,6 +375,47 @@ let test_recorded_answers_fresh_across_updates () =
   (* the fragment's root takes the next node id *)
   ignore (step "delete" (Sketch.Delete (Xtwig_xml.Doc.size doc)) after_insert)
 
+(* A query degraded by what raised out of its last attempt — at run
+   time (engine.query) or at compile time (plan.fill) — leaves a Warn
+   [engine.fallback] event naming the stage and the exception. *)
+let test_fault_fallback_logs_cause () =
+  let sk = Sketch.default_of_doc (Lazy.force imdb) in
+  let q = deep_twig () in
+  let has needle line =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length line && (String.sub line i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  let degrade ~spec ~stage =
+    (match Xtwig_fault.Fault.parse_spec spec with
+    | Ok sp -> Xtwig_fault.Fault.install sp
+    | Error e -> Alcotest.fail e);
+    Xtwig_obs.Log.enable ~level:Xtwig_obs.Log.Warn ();
+    Fun.protect ~finally:(fun () ->
+        Xtwig_fault.Fault.disable ();
+        Xtwig_obs.Log.disable ())
+    @@ fun () ->
+    let eng = get (Engine.of_sketch ~name:"t1" ~retries:0 ~backoff_s:0.0 sk) in
+    Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+    let a = get (Engine.estimate eng q) in
+    Alcotest.(check bool) (stage ^ ": degraded by the fault") true
+      (a.Engine.reason = Some Engine.Fault);
+    Alcotest.(check bool)
+      (stage ^ ": a warn engine.fallback event names stage and cause")
+      true
+      (List.exists
+         (fun l ->
+           has "\"engine.fallback\"" l
+           && has "\"warn\"" l
+           && has (Printf.sprintf "\"stage\":\"%s\"" stage) l
+           && has "Injected" l && has "\"tenant\":\"t1\"" l)
+         (Xtwig_obs.Log.recent ()))
+  in
+  degrade ~spec:"seed=1;engine.query:p1.0" ~stage:"run";
+  degrade ~spec:"seed=1;plan.fill:p1.0" ~stage:"compile"
+
 let () =
   Alcotest.run "engine_obs"
     [
@@ -392,6 +433,8 @@ let () =
             test_recorded_answers_fresh_across_updates;
           Alcotest.test_case "coarse floor built lazily, not at open or update"
             `Quick test_lazy_coarse_floor;
+          Alcotest.test_case "fault fallback logs its cause" `Quick
+            test_fault_fallback_logs_cause;
         ] );
       ( "exact session keys",
         [

@@ -118,6 +118,31 @@ let test_raising_estimator_degrades () =
   Alcotest.(check bool) "raising estimator -> default order" false
     plan.Opt.changed
 
+(* the degraded plan drops what raised; a Warn [opt.fallback] event
+   names it *)
+let test_raising_estimator_logs_cause () =
+  let q =
+    match Xtwig.twig_of_string "for t0 in //a, t1 in t0/b, t2 in t0/c" with
+    | Ok q -> q
+    | Error _ -> Alcotest.fail "twig parse"
+  in
+  Xtwig_obs.Log.enable ~level:Xtwig_obs.Log.Warn ();
+  Fun.protect ~finally:Xtwig_obs.Log.disable @@ fun () ->
+  let plan = Opt.plan ~estimate:(fun _ -> failwith "boom") q in
+  Alcotest.(check bool) "fallback" true plan.Opt.fallback;
+  let has needle line =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length line && (String.sub line i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool)
+    "a warn opt.fallback event carries the exception" true
+    (List.exists
+       (fun l -> has "\"opt.fallback\"" l && has "\"warn\"" l && has "boom" l)
+       (Xtwig_obs.Log.recent ()))
+
 (* ------------------------------------------------------------------ *)
 (* the costing memo: plans through it are bit-equal to plans priced by *)
 (* a fresh uncached estimator, warm, shared between domains, and after *)
@@ -257,6 +282,8 @@ let () =
             (protecting test_fault_degrades);
           Alcotest.test_case "raising estimator -> default order" `Quick
             test_raising_estimator_degrades;
+          Alcotest.test_case "raising estimator logs its cause" `Quick
+            test_raising_estimator_logs_cause;
         ] );
       ( "memo",
         [
