@@ -86,7 +86,7 @@ let log fmt = Printf.ksprintf (fun s -> Printf.eprintf "[bench] %s\n%!" s) fmt
 (* ------------------------------------------------------------------ *)
 (* Truth oracles                                                       *)
 
-let t_truth = Xtwig_util.Counters.timer "bench.truth_ns"
+let t_truth = Xtwig_obs.Metrics.counter "bench.truth_ns"
 
 let truth_oracle doc =
   let cache : (string, float) Hashtbl.t = Hashtbl.create 4096 in
@@ -96,7 +96,7 @@ let truth_oracle doc =
     | Some v -> v
     | None ->
         let v =
-          Xtwig_util.Counters.time t_truth @@ fun () ->
+          Xtwig_obs.Metrics.time_ns t_truth @@ fun () ->
           float_of_int (Xtwig_eval.Eval_twig.selectivity doc q)
         in
         Hashtbl.add cache key v;

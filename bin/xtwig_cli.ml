@@ -25,6 +25,7 @@ module Wgen = Xtwig_workload.Wgen
 module Prng = Xtwig_util.Prng
 module Pool = Xtwig_util.Pool
 module Xerror = Xtwig_util.Xerror
+module Stats = Xtwig_util.Stats
 module Engine = Xtwig_engine.Engine
 module Fault = Xtwig_fault.Fault
 module Metrics = Xtwig_obs.Metrics
@@ -595,7 +596,7 @@ let bench_batch_cmd =
              in
              (* the plan counters before the batch: building the
                 sketch compiled and ran XBUILD's one-shot plans *)
-             let cv key = Xtwig_util.Counters.(value (counter key)) in
+             let cv key = Metrics.(counter_value (counter key)) in
              let c0 = cv "plan.compiles" and h0 = cv "plan.cache_hits" in
              let r0 = cv "plan.runs" and ns0 = cv "plan.compile_ns" in
              let t0 = Unix.gettimeofday () in
@@ -664,7 +665,6 @@ let stats_cmd =
      answer is classified into the SLO tracker (full-fidelity vs
      degraded, over-p99-bound) under [tenant] *)
   let serve_tenant ~slo ~tenant engine qs truths sanity label =
-    let before = Metrics.snapshot () in
     let* answers =
       match Xtwig.estimate_batch engine qs with
       | Ok answers -> Ok answers
@@ -687,19 +687,20 @@ let stats_cmd =
        trip(s), sanity bound %g)@."
       st.Engine.queries_served st.Engine.timeouts st.Engine.degraded
       st.Engine.retries st.Engine.breaker_trips sanity;
-    (* per-query latency percentiles, read back from the batch's
-       engine.query.seconds histogram delta *)
-    (match
-       Metrics.find
-         (Metrics.diff before (Metrics.snapshot ()))
-         "engine.query.seconds"
-     with
-    | Some (Metrics.Histogram h) when h.Metrics.count > 0 ->
+    (* per-query latency percentiles over the batch's answers: the
+       elapsed times engine.query.seconds observes, under whichever
+       tenant label the session carries *)
+    (match answers with
+    | [] -> ()
+    | _ ->
+        let elapsed =
+          Array.of_list
+            (List.map (fun (a : Engine.answer) -> a.Engine.elapsed_s) answers)
+        in
         Format.printf "latency:  p50=%.2g s  p90=%.2g s  p99=%.2g s@."
-          (Metrics.percentile_of h 50.0)
-          (Metrics.percentile_of h 90.0)
-          (Metrics.percentile_of h 99.0)
-    | _ -> ());
+          (Stats.percentile elapsed 50.0)
+          (Stats.percentile elapsed 90.0)
+          (Stats.percentile elapsed 99.0));
     Format.printf "%s@." (Accuracy.report acc);
     Format.printf "%s@." (Slo.report_tenant slo tenant);
     Ok ()

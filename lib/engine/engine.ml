@@ -2,17 +2,16 @@ module Sketch = Xtwig_sketch.Sketch
 module Plan = Xtwig_sketch.Plan
 module Pool = Xtwig_util.Pool
 module Xerror = Xtwig_util.Xerror
-module Counters = Xtwig_util.Counters
 module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
 module Log = Xtwig_obs.Log
 module Fault = Xtwig_fault.Fault
 module Backend = Xtwig_backend.Estimator_backend
 
-let c_queries = Counters.counter "engine.queries"
-let t_plan_run = Counters.timer "plan.run_ns"
-let c_timeouts = Counters.counter "engine.timeouts"
-let c_batches = Counters.counter "engine.batches"
+let c_queries = Metrics.counter "engine.queries"
+let t_plan_run = Metrics.counter "plan.run_ns"
+let c_timeouts = Metrics.counter "engine.timeouts"
+let c_batches = Metrics.counter "engine.batches"
 let c_retries = Metrics.counter "engine.retries"
 let g_circuit = Metrics.gauge "engine.circuit_state"
 
@@ -280,10 +279,10 @@ let eval_one t ~trace_id ~deadline q held pv =
         in
         if now () > deadline then None
         else begin
-          let r0 = Counters.now_ns () in
+          let r0 = Trace.now_ns () in
           let r = go 0.0 0 in
-          let ns = Int64.to_int (Int64.sub (Counters.now_ns ()) r0) in
-          Counters.incr ~by:ns t_plan_run;
+          let ns = Int64.to_int (Int64.sub (Trace.now_ns ()) r0) in
+          Metrics.incr ~by:ns t_plan_run;
           run_ns := !run_ns + ns;
           r
         end
@@ -529,9 +528,9 @@ let estimate_batch ?timeout_s ?trace_id t queries =
       t.timeouts <- t.timeouts + timeouts;
       t.degraded <- t.degraded + degraded;
       t.retries_total <- t.retries_total + retries;
-      Counters.incr c_batches;
-      Counters.incr ~by:(List.length answers) c_queries;
-      Counters.incr ~by:timeouts c_timeouts;
+      Metrics.incr c_batches;
+      Metrics.incr ~by:(List.length answers) c_queries;
+      Metrics.incr ~by:timeouts c_timeouts;
       t.estimate_s <- t.estimate_s +. (now () -. t0);
       answers
     with

@@ -54,6 +54,13 @@ let counter ?help ?(labels = []) name =
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.cr_cell by)
 let counter_value c = Atomic.get c.cr_cell
 
+let time_ns c f =
+  let t0 = Monotonic_clock.now () in
+  Fun.protect
+    ~finally:(fun () ->
+      incr ~by:(Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0)) c)
+    f
+
 let gauge ?help ?(labels = []) name =
   register ?help name labels
     (fun () -> Gauge_cell { ga_cell = Atomic.make 0.0 })

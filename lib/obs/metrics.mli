@@ -1,13 +1,12 @@
 (** Process-wide metrics registry: counters, gauges and fixed-bucket
     histograms, optionally labeled.
 
-    This generalizes the original flat [Counters] table (which is now a
-    thin adapter over this module). Cells are registered once —
-    typically at module initialization, before domains spawn — and
-    updated from any domain: counters and histogram buckets are
-    {!Atomic.t} increments, gauge sets are atomic stores, histogram
-    sums are CAS loops. Registration under a name that already holds a
-    different metric kind raises [Invalid_argument].
+    Cells are registered once — typically at module initialization,
+    before domains spawn — and updated from any domain: counters and
+    histogram buckets are {!Atomic.t} increments, gauge sets are atomic
+    stores, histogram sums are CAS loops. Registration under a name
+    that already holds a different metric kind raises
+    [Invalid_argument].
 
     Metric names follow the [subsystem.verb.unit] scheme documented in
     DESIGN.md (e.g. [xbuild.round.seconds], [engine.timeouts]).
@@ -25,6 +24,11 @@ val counter : ?help:string -> ?labels:(string * string) list -> string -> counte
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
+
+val time_ns : counter -> (unit -> 'a) -> 'a
+(** [time_ns c f] runs [f] and adds its elapsed monotonic nanoseconds
+    to [c], also on exception. Such counters are named with an [.ns]
+    suffix ([estimator.ns], [plan.compile_ns]). *)
 
 val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
 val set : gauge -> float -> unit

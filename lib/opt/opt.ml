@@ -1,7 +1,7 @@
 open Xtwig_path.Path_types
 module Hist1d = Xtwig_hist.Hist1d
 module Value = Xtwig_xml.Value
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
 module Log = Xtwig_obs.Log
 module Fault = Xtwig_fault.Fault
@@ -262,10 +262,10 @@ let rec strip_twig t =
   if not (twig_has_value_pred t) then t
   else { path = strip_path t.path; subs = List.map strip_twig t.subs }
 
-let m_plans = Counters.counter "opt.plans"
-let m_changed = Counters.counter "opt.order_changed"
-let m_fallbacks = Counters.counter "opt.fallbacks"
-let t_plan = Counters.timer "opt.plan_ns"
+let m_plans = Metrics.counter "opt.plans"
+let m_changed = Metrics.counter "opt.order_changed"
+let m_fallbacks = Metrics.counter "opt.fallbacks"
+let t_plan = Metrics.counter "opt.plan_ns"
 
 let compute_plan ~estimate ~vhist t =
   Fault.point "opt.plan";
@@ -367,15 +367,15 @@ let compute_plan ~estimate ~vhist t =
   }
 
 let plan ~estimate ?(vhist = fun _ -> None) t =
-  Counters.incr m_plans;
-  Counters.time t_plan (fun () ->
+  Metrics.incr m_plans;
+  Metrics.time_ns t_plan (fun () ->
       Trace.with_span ~name:"opt.plan" (fun () ->
           match compute_plan ~estimate ~vhist t with
           | p ->
-              if p.changed then Counters.incr m_changed;
+              if p.changed then Metrics.incr m_changed;
               p
           | exception e ->
-              Counters.incr m_fallbacks;
+              Metrics.incr m_fallbacks;
               (* the cause, which the default-order plan drops *)
               if Log.enabled () then
                 Log.warn "opt.fallback" ~fields:[ ("error", Log.S (Printexc.to_string e)) ];

@@ -81,7 +81,7 @@ let take_capped cap l =
   end
   else l
 
-let t_embed = Xtwig_util.Counters.timer "embed.ns"
+let t_embed = Xtwig_obs.Metrics.counter "embed.ns"
 
 (* Memo table for [step_chains] results, keyed by (from, axis, label)
    with [from]/[axis] packed into one int. Chains depend only on the
@@ -135,7 +135,7 @@ let rec compile_twig (t : twig) : ctwig =
 
 let embeddings ?chains ?(max_alternatives = 64) syn twig =
   Xtwig_obs.Trace.with_span ~name:"embed.enumerate" @@ fun () ->
-  Xtwig_util.Counters.time t_embed @@ fun () ->
+  Xtwig_obs.Metrics.time_ns t_embed @@ fun () ->
   set_truncated false;
   (* embedding-node ids: dense, unique within one [embeddings] result
      (across all returned roots) — estimator memo tables key on them *)
@@ -267,10 +267,10 @@ let embeddings ?chains ?(max_alternatives = 64) syn twig =
 (* ------------------------------------------------------------------ *)
 (* Embedding cache                                                     *)
 
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 
-let c_hits = Counters.counter "embed.cache_hits"
-let c_misses = Counters.counter "embed.cache_misses"
+let c_hits = Metrics.counter "embed.cache_hits"
+let c_misses = Metrics.counter "embed.cache_misses"
 
 type cache = {
   csyn : G.t;
@@ -298,7 +298,7 @@ let thaw c = c.frozen <- false
 let embeddings_cached cache syn twig =
   if syn != cache.csyn then begin
     (* a different synopsis: the cache does not apply *)
-    Counters.incr c_misses;
+    Metrics.incr c_misses;
     embeddings syn twig
   end
   else
@@ -308,11 +308,11 @@ let embeddings_cached cache syn twig =
        turning a memory race into (at worst) a duplicated enumeration *)
     match Twig_tbl.find_opt cache.tbl twig with
     | Some (roots, trunc) ->
-        Counters.incr c_hits;
+        Metrics.incr c_hits;
         set_truncated trunc;
         roots
     | None ->
-        Counters.incr c_misses;
+        Metrics.incr c_misses;
         (* a cache fill is real work that chaos scenarios target; the
            engine's retry path re-enters here *)
         Xtwig_fault.Fault.point "embed.fill";

@@ -83,7 +83,7 @@ val last_truncated : unit -> bool
     ({!Xtwig_path.Path_types.Twig_tbl}), enumerated with the default
     [max_alternatives]. Hits and misses are counted under
     [embed.cache_hits] / [embed.cache_misses] in
-    {!Xtwig_util.Counters}. Engine sessions keep no embedding cache:
+    {!Xtwig_obs.Metrics}. Engine sessions keep no embedding cache:
     their plan table drops a query's embeddings once its plans are
     compiled. *)
 

@@ -1,8 +1,8 @@
-let t_estimate = Xtwig_util.Counters.timer "estimator.ns"
+let t_estimate = Xtwig_obs.Metrics.counter "estimator.ns"
 
 let estimate ?cache sketch twig =
   Xtwig_obs.Trace.with_span ~name:"estimator.estimate" @@ fun () ->
-  Xtwig_util.Counters.time t_estimate @@ fun () ->
+  Xtwig_obs.Metrics.time_ns t_estimate @@ fun () ->
   let syn = Sketch.synopsis sketch in
   let embs =
     match cache with

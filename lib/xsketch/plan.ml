@@ -44,17 +44,17 @@
 
 module G = Xtwig_synopsis.Graph_synopsis
 module Edge_hist = Xtwig_hist.Edge_hist
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
 module A1 = Bigarray.Array1
 module Twig_tbl = Xtwig_path.Path_types.Twig_tbl
 open Embed
 
-let t_compile = Counters.timer "plan.compile_ns"
-let c_compiles = Counters.counter "plan.compiles"
-let c_runs = Counters.counter "plan.runs"
-let c_hits = Counters.counter "plan.cache_hits"
-let c_misses = Counters.counter "plan.cache_misses"
+let t_compile = Metrics.counter "plan.compile_ns"
+let c_compiles = Metrics.counter "plan.compiles"
+let c_runs = Metrics.counter "plan.runs"
+let c_hits = Metrics.counter "plan.cache_hits"
+let c_misses = Metrics.counter "plan.cache_misses"
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 type iarr = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
@@ -1128,7 +1128,7 @@ and combos (t : t) (ba : farr) (nd : int) (base : int) (l : int) : unit =
 (* Compile and run                                                     *)
 
 let compile_timed s sketch (root : enode) : t =
-  let t0 = Counters.now_ns () in
+  let t0 = Trace.now_ns () in
   start_plan s;
   let nd = compile_node s sketch root in
   s.consts.(0) <-
@@ -1146,14 +1146,14 @@ let compile_timed s sketch (root : enode) : t =
       scr_len = o_nodes + s.scr_off;
     }
   in
-  Counters.incr ~by:(Int64.to_int (Int64.sub (Counters.now_ns ()) t0)) t_compile;
+  Metrics.incr ~by:(Int64.to_int (Int64.sub (Trace.now_ns ()) t0)) t_compile;
   t
 
 (* One embedding compiled into the scratch: the plan's arrays are the
    scratch's, valid until its next compile. The span's closure is
    built only while a trace records it. *)
 let compile s sketch root =
-  Counters.incr c_compiles;
+  Metrics.incr c_compiles;
   if Trace.enabled () then
     Trace.with_span ~name:"plan.compile" (fun () -> compile_timed s sketch root)
   else compile_timed s sketch root
@@ -1165,7 +1165,7 @@ let owned s (t : t) =
   { t with prog; consts = Array.sub s.consts 0 s.clen; tabs = Array.sub s.tabs 0 s.tlen }
 
 let run (t : t) : float =
-  Counters.incr c_runs;
+  Metrics.incr c_runs;
   let s = borrow () in
   let ba = arena_for s t.scr_len in
   expand t ba t.root;
@@ -1179,7 +1179,7 @@ let run_batch (ts : t array) (out : float array) : unit =
   let s = borrow () in
   for i = 0 to Array.length ts - 1 do
     let t = Array.unsafe_get ts i in
-    Counters.incr c_runs;
+    Metrics.incr c_runs;
     let ba = arena_for s t.scr_len in
     expand t ba t.root;
     out.(i) <-
@@ -1203,7 +1203,7 @@ let rec sum_roots s sketch acc = function
   | [] -> acc
   | e :: rest ->
       let t = compile s sketch e in
-      Counters.incr c_runs;
+      Metrics.incr c_runs;
       let ba = arena_for s t.scr_len in
       expand t ba t.root;
       sum_roots s sketch
@@ -1269,7 +1269,7 @@ let guarded c e = e.e_embeddings > c.c_max_embeddings || e.e_nodes > c.c_max_nod
 let lookup c q =
   match Twig_tbl.find_opt c.c_entries q with
   | Some e ->
-      Counters.incr c_hits;
+      Metrics.incr c_hits;
       {
         held = e.e_held;
         embeddings = e.e_embeddings;
@@ -1278,7 +1278,7 @@ let lookup c q =
         compile_ns = 0;
       }
   | None ->
-      Counters.incr c_misses;
+      Metrics.incr c_misses;
       let roots =
         match c.c_pending with
         | Some (q', roots) when Xtwig_path.Path_types.equal_twig q q' -> roots
@@ -1301,11 +1301,11 @@ let lookup c q =
           { held = e.e_held; embeddings = n; guarded = true; compiled = false; compile_ns = 0 }
         else begin
           Xtwig_fault.Fault.point "plan.fill";
-          let t0 = Counters.now_ns () in
+          let t0 = Trace.now_ns () in
           (* the entry keeps its plans until a batch joins: copied out
              of the scratch *)
           let plans = compile_roots c.c_sketch roots in
-          let compile_ns = Int64.to_int (Int64.sub (Counters.now_ns ()) t0) in
+          let compile_ns = Int64.to_int (Int64.sub (Trace.now_ns ()) t0) in
           e.e_held <- Plans plans;
           { held = e.e_held; embeddings = n; guarded = false; compiled = true; compile_ns }
         end

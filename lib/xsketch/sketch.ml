@@ -31,14 +31,14 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
 
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 
-let c_builds = Counters.counter "sketch.builds"
-let c_dists = Counters.counter "sketch.dists_computed"
-let c_ehists_built = Counters.counter "sketch.ehists_built"
-let c_ehists_reused = Counters.counter "sketch.ehists_reused"
-let c_vals_built = Counters.counter "sketch.value_summaries_built"
-let c_vals_reused = Counters.counter "sketch.value_summaries_reused"
+let c_builds = Metrics.counter "sketch.builds"
+let c_dists = Metrics.counter "sketch.dists_computed"
+let c_ehists_built = Metrics.counter "sketch.ehists_built"
+let c_ehists_reused = Metrics.counter "sketch.ehists_reused"
+let c_vals_built = Metrics.counter "sketch.value_summaries_built"
+let c_vals_reused = Metrics.counter "sketch.value_summaries_reused"
 
 (* ------------------------------------------------------------------ *)
 (* Distribution computation                                            *)
@@ -57,7 +57,7 @@ let ancestor_in syn e a =
    elements mostly share that ancestor, so its count is kept until the
    ancestor changes. *)
 let distribution_of syn n dims =
-  Counters.incr c_dists;
+  Metrics.incr c_dists;
   let k = Array.length dims in
   let last_anc = Array.make k (-1) and last_count = Array.make k 0 in
   let count e i =
@@ -138,7 +138,7 @@ let node_map_of prev syn =
       fun n -> map.(n)
   | Some _ -> (fun _ -> -1)
 
-let t_build_ns = Counters.timer "sketch.build_ns"
+let t_build_ns = Metrics.counter "sketch.build_ns"
 
 (* The full construction, parameterized over the node correspondence.
    [node_map] maps each node of [syn] to the node of [prev] whose
@@ -149,8 +149,8 @@ let t_build_ns = Counters.timer "sketch.build_ns"
    every dimension endpoint, value summaries on the owning node's
    extent alone. *)
 let build_with ?prev ~node_map syn config =
-  Counters.time t_build_ns @@ fun () ->
-  Counters.incr c_builds;
+  Metrics.time_ns t_build_ns @@ fun () ->
+  Metrics.incr c_builds;
   let n_nodes = G.node_count syn in
   if Array.length config.especs <> n_nodes || Array.length config.vbudgets <> n_nodes
   then invalid_arg "Sketch.build: config arity mismatch";
@@ -186,7 +186,7 @@ let build_with ?prev ~node_map syn config =
       when p.syn == syn
            && (p.config.especs.(n) == config.especs.(n)
               || p.config.especs.(n) = config.especs.(n)) ->
-        Counters.incr ~by:(List.length p.ehists.(n)) c_ehists_reused;
+        Metrics.incr ~by:(List.length p.ehists.(n)) c_ehists_reused;
         ehists.(n) <- p.ehists.(n);
         ebudgets.(n) <- p.ebudgets.(n)
     | _ ->
@@ -203,10 +203,10 @@ let build_with ?prev ~node_map syn config =
               let h =
                 match reuse_hist n dims spec.budget with
                 | Some h ->
-                    Counters.incr c_ehists_reused;
+                    Metrics.incr c_ehists_reused;
                     h
                 | None ->
-                    Counters.incr c_ehists_built;
+                    Metrics.incr c_ehists_built;
                     Edge_hist.build ~budget:spec.budget
                       (distribution_of syn n dims)
               in
@@ -230,9 +230,9 @@ let build_with ?prev ~node_map syn config =
           true
       | _ -> false
     in
-    if reused then Counters.incr c_vals_reused
+    if reused then Metrics.incr c_vals_reused
     else if vb > 0 then begin
-      Counters.incr c_vals_built;
+      Metrics.incr c_vals_built;
       (* one extent pass collecting both the numeric values and the
          text values that are not merely numbers in disguise *)
       let nums = ref [] and texts = ref [] in
@@ -306,9 +306,9 @@ type delta =
   | Insert of { parent : Doc.node; fragment : Doc.t }
   | Delete of Doc.node
 
-let c_deltas = Counters.counter "sketch.deltas"
-let c_delta_nodes_kept = Counters.counter "sketch.delta_nodes_kept"
-let t_delta_ns = Counters.timer "sketch.delta_ns"
+let c_deltas = Metrics.counter "sketch.deltas"
+let c_delta_nodes_kept = Metrics.counter "sketch.delta_nodes_kept"
+let t_delta_ns = Metrics.counter "sketch.delta_ns"
 
 (* Smallest synopsis node carrying [tname], if any — where inserted
    elements of an already-known tag are filed. *)
@@ -319,8 +319,8 @@ let min_node_with_label syn tname =
 
 let apply_delta ?(reuse = true) t delta =
   Xtwig_fault.Fault.point "sketch.delta";
-  Counters.time t_delta_ns @@ fun () ->
-  Counters.incr c_deltas;
+  Metrics.time_ns t_delta_ns @@ fun () ->
+  Metrics.incr c_deltas;
   let syn = t.syn in
   let doc = G.doc syn in
   let n_nodes = G.node_count syn in
@@ -381,7 +381,7 @@ let apply_delta ?(reuse = true) t delta =
             ext;
           if !same then begin
             nmap.(n') <- o;
-            Counters.incr c_delta_nodes_kept
+            Metrics.incr c_delta_nodes_kept
           end
         end
       end

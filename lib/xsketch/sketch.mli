@@ -65,7 +65,7 @@ val build : ?prev:t -> Xtwig_synopsis.Graph_synopsis.t -> config -> t
       rebuild.
 
     Reuse is observable through the [sketch.*] counters of
-    {!Xtwig_util.Counters}. *)
+    {!Xtwig_obs.Metrics}. *)
 
 val build_with :
   ?prev:t ->

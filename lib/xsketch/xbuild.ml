@@ -1,17 +1,16 @@
 module Prng = Xtwig_util.Prng
 module Stats = Xtwig_util.Stats
-module Counters = Xtwig_util.Counters
 module Metrics = Xtwig_obs.Metrics
 module Trace = Xtwig_obs.Trace
 module Twig_tbl = Xtwig_path.Path_types.Twig_tbl
 
-let c_steps = Counters.counter "xbuild.steps"
-let c_candidates = Counters.counter "xbuild.candidates_scored"
-let c_est_skipped = Counters.counter "xbuild.estimates_skipped"
-let c_est_computed = Counters.counter "xbuild.estimates_computed"
-let t_build = Counters.timer "xbuild.ns"
-let t_apply = Counters.timer "xbuild.apply_ns"
-let t_gen = Counters.timer "xbuild.gen_ns"
+let c_steps = Metrics.counter "xbuild.steps"
+let c_candidates = Metrics.counter "xbuild.candidates_scored"
+let c_est_skipped = Metrics.counter "xbuild.estimates_skipped"
+let c_est_computed = Metrics.counter "xbuild.estimates_computed"
+let t_build = Metrics.counter "xbuild.ns"
+let t_apply = Metrics.counter "xbuild.apply_ns"
+let t_gen = Metrics.counter "xbuild.gen_ns"
 
 (* per-round latency distribution: a round = candidate generation +
    base pass + scoring + the chosen apply *)
@@ -102,7 +101,7 @@ type scored = {
 
 let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1)
     ?(vbudget0 = 2) ?on_step ?workload ?truth ~budget doc =
-  Counters.time t_build @@ fun () ->
+  Metrics.time_ns t_build @@ fun () ->
   (* the default scoring recipe: ten paper-style P queries per draw,
      answered by the memoized exact oracle *)
   let workload =
@@ -133,13 +132,13 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
   let continue = ref true in
   while !continue && Sketch.size_bytes !sketch < budget && !step < max_steps do
     incr step;
-    Counters.incr c_steps;
+    Metrics.incr c_steps;
     Metrics.time h_round @@ fun () ->
     Trace.with_span ~name:"xbuild.round" ~args:[ ("step", string_of_int !step) ]
     @@ fun () ->
     let cands =
       Trace.with_span ~name:"xbuild.gen_candidates" @@ fun () ->
-      Counters.time t_gen @@ fun () ->
+      Metrics.time_ns t_gen @@ fun () ->
       Refinement.gen_candidates ~count:candidates !sketch prng
     in
     if cands = [] then continue := false
@@ -189,8 +188,10 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
         Trace.with_span ~name:"xbuild.score"
           ~args:[ ("op.kind", Refinement.kind_name op) ]
         @@ fun () ->
-        Counters.incr c_candidates;
-        let refined = Counters.time t_apply @@ fun () -> Refinement.apply !sketch op in
+        Metrics.incr c_candidates;
+        let refined =
+          Metrics.time_ns t_apply @@ fun () -> Refinement.apply !sketch op
+        in
         let size = Sketch.size_bytes refined in
         if size <= base_size then None
         else
@@ -213,11 +214,11 @@ let build ?pool ?(seed = 42) ?(candidates = 8) ?(max_steps = 400) ?(ebudget0 = 1
                   | None -> false
                 in
                 if skip then begin
-                  Counters.incr c_est_skipped;
+                  Metrics.incr c_est_skipped;
                   base_ests.(i)
                 end
                 else begin
-                  Counters.incr c_est_computed;
+                  Metrics.incr c_est_computed;
                   let cache = if same_syn then cache else Lazy.force cand_cache in
                   Estimator.estimate ~cache refined qarr.(i)
                 end)

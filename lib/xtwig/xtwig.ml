@@ -162,15 +162,11 @@ let load_backend ~backend doc path =
 
 (* ---------------- sessions ---------------- *)
 
-let open_backend_session ?name ?jobs ?timeout_s ?retries ?backoff_s
-    ?breaker_threshold ?breaker_cooldown_s inst =
-  Engine.of_backend ?name ?jobs ?timeout_s ?retries ?backoff_s
-    ?breaker_threshold ?breaker_cooldown_s inst
+let open_backend_session ?name ?jobs ?timeout_s inst =
+  Engine.of_backend ?name ?jobs ?timeout_s inst
 
-let open_sketch_session ?name ?jobs ?timeout_s ?retries ?backoff_s
-    ?breaker_threshold ?breaker_cooldown_s sk =
-  open_backend_session ?name ?jobs ?timeout_s ?retries ?backoff_s
-    ?breaker_threshold ?breaker_cooldown_s (Backend.of_sketch sk)
+let open_sketch_session ?name ?jobs ?timeout_s sk =
+  open_backend_session ?name ?jobs ?timeout_s (Backend.of_sketch sk)
 
 let update_session = Engine.update
 let estimate = Engine.estimate

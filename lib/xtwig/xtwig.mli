@@ -89,8 +89,8 @@ val optimize : sketch -> twig -> Opt.plan
     compiles, runs and drops a plan per embedding and keeps none), and
     plans are bit-equal to those priced afresh. The memo is held weakly (dropping or replacing the
     sketch frees it), is safe to share between domains, and is cleared
-    whenever it reaches 4,096 entries. Counters [opt.memo_hits] and
-    [opt.memo_misses] count its lookups.
+    whenever it reaches 4,096 entries. The [Metrics] counters
+    [opt.memo_hits] and [opt.memo_misses] count its lookups.
 
     Total: failures (including an injected [opt.plan] fault, which
     fires once per call before any memo lookup, and an estimate that
@@ -192,10 +192,6 @@ val open_sketch_session :
   ?name:string ->
   ?jobs:int ->
   ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
   sketch ->
   (Engine.t, Xerror.t) result
 (** {!open_backend_session} over [Backend.of_sketch sk]: the compiled
@@ -208,15 +204,12 @@ val open_backend_session :
   ?name:string ->
   ?jobs:int ->
   ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
   Backend.instance ->
   (Engine.t, Xerror.t) result
 (** Any registered backend behind the same hardening fabric — see
-    {!Engine.of_backend}; an instance that carries a sketch takes the
-    compiled path. *)
+    {!Engine.of_backend}, whose default retry, backoff and breaker
+    settings the session takes; an instance that carries a sketch
+    takes the compiled path. *)
 
 val estimate :
   ?timeout_s:float ->

@@ -290,7 +290,7 @@ let test_twin_keys_xbuild () = check_twins "xbuild" (Lazy.force xbuild05)
 let test_lazy_coarse_floor () =
   let sk = Lazy.force xbuild05 in
   let doc = Sketch.doc sk in
-  let builds () = Xtwig_util.Counters.(value (counter "sketch.builds")) in
+  let builds () = Metrics.(counter_value (counter "sketch.builds")) in
   let built f =
     let b0 = builds () in
     let v = f () in
@@ -416,6 +416,51 @@ let test_fault_fallback_logs_cause () =
   degrade ~spec:"seed=1;engine.query:p1.0" ~stage:"run";
   degrade ~spec:"seed=1;plan.fill:p1.0" ~stage:"compile"
 
+(* The per-layer counters the benchmark and CI read by name. A reader
+   takes an absent name as 0, so a counter registered under another
+   name would zero a benchmark metric and fail nothing. Over one small
+   build, a session batch holding one cold query twice, an optimize
+   and a delta, each name must be an unlabeled counter in the registry,
+   and each but the optimizer's two must move. *)
+let pinned_counters =
+  [
+    "xbuild.steps"; "xbuild.candidates_scored"; "xbuild.apply_ns";
+    "sketch.builds"; "sketch.build_ns"; "sketch.ehists_reused";
+    "sketch.ehists_built"; "sketch.deltas"; "sketch.delta_ns"; "embed.ns";
+    "embed.cache_hits"; "embed.cache_misses"; "estimator.ns"; "plan.compiles";
+    "plan.runs"; "plan.cache_hits"; "plan.cache_misses"; "plan.compile_ns";
+    "plan.run_ns"; "engine.queries"; "engine.batches"; "opt.order_changed";
+    "opt.fallbacks";
+  ]
+
+let test_pinned_counter_names () =
+  let doc = Lazy.force imdb in
+  let before = Metrics.snapshot () in
+  let budget = Sketch.size_bytes (Sketch.default_of_doc doc) * 2 in
+  let sk = get (Xtwig.build_sketch ~budget ~seed:3 ~max_steps:10 doc) in
+  let q = deep_twig () in
+  let eng = get (Xtwig.open_sketch_session sk) in
+  Fun.protect
+    ~finally:(fun () -> Xtwig.close_session eng)
+    (fun () -> ignore (get (Xtwig.estimate_batch eng [ q; q ])));
+  ignore (Xtwig.optimize sk q);
+  let fragment =
+    get (Xtwig_xml.Xml_parser.parse_string_res "<movie><title>N</title></movie>")
+  in
+  ignore
+    (Sketch.apply_delta sk
+       (Sketch.Insert { parent = Xtwig_xml.Doc.root (Sketch.doc sk); fragment }));
+  let after = Metrics.snapshot () in
+  let moved = Metrics.diff before after in
+  List.iter
+    (fun name ->
+      (match Metrics.find after name with
+      | Some (Metrics.Counter _) -> ()
+      | _ -> Alcotest.failf "%s is not an unlabeled counter" name);
+      if not (String.starts_with ~prefix:"opt." name) then
+        Alcotest.(check bool) (name ^ " moved") true (Metrics.counter_of moved name > 0))
+    pinned_counters
+
 let () =
   Alcotest.run "engine_obs"
     [
@@ -435,6 +480,8 @@ let () =
             `Quick test_lazy_coarse_floor;
           Alcotest.test_case "fault fallback logs its cause" `Quick
             test_fault_fallback_logs_cause;
+          Alcotest.test_case "benchmark counter names pinned" `Quick
+            test_pinned_counter_names;
         ] );
       ( "exact session keys",
         [

@@ -12,7 +12,10 @@ module Embed = Xtwig_sketch.Embed
 module Est = Xtwig_sketch.Estimator
 module Wgen = Xtwig_workload.Wgen
 module Prng = Xtwig_util.Prng
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
+
+(* a counter's current value, read through its registered cell *)
+let counter name = Metrics.counter_value (Metrics.counter name)
 
 let doc = lazy (Xtwig_datagen.Imdb.generate ~scale:0.03 ())
 let base = lazy (Sketch.coarsest ~ebudget:2 ~vbudget:4 (G.label_split (Lazy.force doc)))
@@ -112,25 +115,25 @@ let test_incremental_equals_scratch () =
    reuses histograms across the split. *)
 let test_counters_show_reuse () =
   let base = Lazy.force base in
-  Counters.reset ();
+  Metrics.reset_all ();
   let _op, applied = op_of_kind base `Edge_refine in
   assert (applied != base);
   Alcotest.(check bool)
     "Edge_refine reuses same-synopsis histograms" true
-    (Counters.get "sketch.ehists_reused" > 0);
-  Counters.reset ();
+    (counter "sketch.ehists_reused" > 0);
+  Metrics.reset_all ();
   let _op, applied = op_of_kind base `F_stabilize in
   assert (applied != base);
   Alcotest.(check bool)
     "F_stabilize reuses histograms across the split" true
-    (Counters.get "sketch.ehists_reused" > 0)
+    (counter "sketch.ehists_reused" > 0)
 
 (* 3. Cached estimation is identical to uncached and actually hits. *)
 let test_embed_cache_identical () =
   let base = Lazy.force base in
   let queries = Lazy.force queries in
   let cache = Embed.create_cache (Sketch.synopsis base) in
-  Counters.reset ();
+  Metrics.reset_all ();
   List.iter
     (fun q ->
       let plain = Est.estimate base q in
@@ -141,7 +144,7 @@ let test_embed_cache_identical () =
     queries;
   Alcotest.(check bool)
     "cache hits recorded" true
-    (Counters.get "embed.cache_hits" > 0);
+    (counter "embed.cache_hits" > 0);
   (* a frozen cache serves hits but swallows new insertions *)
   Embed.freeze cache;
   let fresh = Est.estimate ~cache base (List.hd queries) in
@@ -268,9 +271,9 @@ let test_shared_extents_equal_copied () =
       done;
       Alcotest.(check bool) (name ^ ": the split shares extents") true (!shared > 0);
       let build syn =
-        let r0 = Counters.get "sketch.ehists_reused" in
+        let r0 = counter "sketch.ehists_reused" in
         let sk = Sketch.build ~prev:base syn cfg in
-        (sk, Counters.get "sketch.ehists_reused" - r0)
+        (sk, counter "sketch.ehists_reused" - r0)
       in
       let a, reused_a = build syn in
       let b, reused_b = build copy in

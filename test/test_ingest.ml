@@ -27,7 +27,7 @@ module Sketch = Xtwig_sketch.Sketch
 module Sketch_io = Xtwig_sketch.Sketch_io
 module Est = Xtwig_sketch.Estimator
 module Xerror = Xtwig_util.Xerror
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 
 let ok_exn = function
   | Ok v -> v
@@ -160,7 +160,8 @@ let test_delta_insert_known_tag () =
   let doc = Lazy.force lib_doc in
   let sk = Sketch.default_of_doc doc in
   let fragment = parse "<book><title>t4</title><year>2007</year></book>" in
-  let kept0 = Counters.get "sketch.delta_nodes_kept" in
+  let kept () = Metrics.counter_value (Metrics.counter "sketch.delta_nodes_kept") in
+  let kept0 = kept () in
   let sk' =
     check_delta_contract "insert book" sk
       (Sketch.Insert { parent = Doc.root doc; fragment })
@@ -169,7 +170,7 @@ let test_delta_insert_known_tag () =
     (Doc.size doc + Doc.size fragment)
     (Doc.size (Sketch.doc sk'));
   Alcotest.(check bool) "summaries were reused" true
-    (Counters.get "sketch.delta_nodes_kept" > kept0);
+    (kept () > kept0);
   (* the estimate over the maintained sketch sees the new subtree *)
   let q = Lazy.force book_query in
   Alcotest.(check (float 0.0)) "estimate counts the insert" 4.0

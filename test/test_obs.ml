@@ -158,15 +158,19 @@ let test_reset_all () =
   Alcotest.(check int) "histogram zeroed" 0
     (Metrics.histogram_view h).Metrics.count
 
-let test_counters_adapter () =
-  (* the legacy Counters front-end shares cells with Metrics *)
-  let c = Xtwig_util.Counters.counter "t.adapter.counter" in
-  Xtwig_util.Counters.incr ~by:4 c;
-  let snap = Metrics.snapshot () in
-  Alcotest.(check int) "visible in Metrics snapshot" 4
-    (Metrics.counter_of snap "t.adapter.counter");
-  Alcotest.(check bool) "visible in Counters.snapshot" true
-    (List.mem_assoc "t.adapter.counter" (Xtwig_util.Counters.snapshot ()))
+let test_time_ns () =
+  (* a nanosecond timer books the elapsed time, also when the timed
+     function raises *)
+  let c = Metrics.counter "t.time_ns" in
+  let v = Metrics.time_ns c (fun () -> Unix.sleepf 0.001; 7) in
+  Alcotest.(check int) "result passed through" 7 v;
+  let t1 = Metrics.counter_value c in
+  Alcotest.(check bool) "elapsed booked" true (t1 >= 1_000_000);
+  (match Metrics.time_ns c (fun () -> Unix.sleepf 0.001; failwith "timed") with
+  | _ -> Alcotest.fail "the exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "elapsed booked on exception" true
+    (Metrics.counter_value c - t1 >= 1_000_000)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -522,8 +526,8 @@ let () =
           Alcotest.test_case "render + json exposition" `Quick
             test_render_and_json;
           Alcotest.test_case "reset_all" `Quick test_reset_all;
-          Alcotest.test_case "Counters adapter shares cells" `Quick
-            test_counters_adapter;
+          Alcotest.test_case "time_ns books elapsed, also on exception" `Quick
+            test_time_ns;
           Alcotest.test_case "render escapes label values" `Quick
             test_render_escapes_label_values;
           Alcotest.test_case "family comments emitted once" `Quick

@@ -11,7 +11,7 @@ module Eval_twig = Xtwig_eval.Eval_twig
 module Wgen = Xtwig_workload.Wgen
 module Prng = Xtwig_util.Prng
 module Fault = Xtwig_fault.Fault
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 module Opt = Xtwig_opt.Opt
 module Protocol = Xtwig_serve.Protocol
 
@@ -91,7 +91,7 @@ let test_fault_degrades () =
   Alcotest.(check bool) "clean plan is not a fallback" false
     clean.Opt.fallback;
   Fault.install (spec "seed=1;opt.plan:always");
-  let before = Counters.value (Counters.counter "opt.fallbacks") in
+  let before = Metrics.counter_value (Metrics.counter "opt.fallbacks") in
   let degraded = Xtwig.optimize sk q in
   Fault.disable ();
   Alcotest.(check bool) "degraded plan is flagged" true degraded.Opt.fallback;
@@ -99,7 +99,7 @@ let test_fault_degrades () =
     degraded.Opt.changed;
   Alcotest.(check int) "fallback counted"
     (before + 1)
-    (Counters.value (Counters.counter "opt.fallbacks"));
+    (Metrics.counter_value (Metrics.counter "opt.fallbacks"));
   (* and the answer is the default-order answer, not a wrong one *)
   Alcotest.(check int) "degraded evaluation = default"
     (Eval_twig.selectivity doc q)
@@ -149,7 +149,6 @@ let test_raising_estimator_logs_cause () =
 (* the memo has been cleared at its cap                                 *)
 
 module Backend = Xtwig_backend.Estimator_backend
-module Metrics = Xtwig_obs.Metrics
 
 let pv_pool doc =
   Wgen.generate { Wgen.paper_pv with Wgen.n_queries = 40 } (Prng.create 9) doc

@@ -254,7 +254,7 @@ let test_engine_batch_differential () =
   let sk = build_small doc in
   let qs = queries_for doc 30 in
   let qs = qs @ [ List.hd qs ] in
-  let runs () = Xtwig_util.Counters.get "plan.runs" in
+  let runs () = Xtwig_obs.Metrics.(counter_value (counter "plan.runs")) in
   let run jobs =
     let eng = get (Engine.of_sketch ~jobs sk) in
     Fun.protect
@@ -338,9 +338,10 @@ let test_engine_records_after_join () =
   let peek q =
     match (!session, !nested) with
     | Some eng, None when q == b ->
-        let r0 = Xtwig_util.Counters.get "plan.runs" in
+        let runs () = Xtwig_obs.Metrics.(counter_value (counter "plan.runs")) in
+        let r0 = runs () in
         let ans = get (Engine.estimate eng a) in
-        nested := Some (ans, Xtwig_util.Counters.get "plan.runs" - r0)
+        nested := Some (ans, runs () - r0)
     | _ -> ()
   in
   let eng = get (Engine.of_sketch ~jobs:1 ~on_embedding:peek sk) in

@@ -16,9 +16,12 @@ module Xbuild = Xtwig_sketch.Xbuild
 module Engine = Xtwig_engine.Engine
 module Wgen = Xtwig_workload.Wgen
 module Prng = Xtwig_util.Prng
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 module Fault = Xtwig_fault.Fault
 module Ref = Estimate_reference
+
+(* a counter's current value, read through its registered cell *)
+let counter name = Metrics.counter_value (Metrics.counter name)
 
 let docs =
   lazy
@@ -120,10 +123,10 @@ let test_plan_cache_hits () =
     (fun i q ->
       let expected = Ref.estimate sk q in
       let cold = session_estimate eng q in
-      let c0 = Counters.get "plan.compiles" in
-      let h0 = Counters.get "plan.cache_hits" in
-      let e0 = Counters.get "embed.ns" and m0 = Counters.get "plan.cache_misses" in
-      let r0 = Counters.get "plan.runs" and rn0 = Counters.get "plan.run_ns" in
+      let c0 = counter "plan.compiles" in
+      let h0 = counter "plan.cache_hits" in
+      let e0 = counter "embed.ns" and m0 = counter "plan.cache_misses" in
+      let r0 = counter "plan.runs" and rn0 = counter "plan.run_ns" in
       let warm = session_estimate eng q in
       let pv = warm.Engine.provenance in
       let n = cold.Engine.provenance.Engine.pv_embeddings in
@@ -137,22 +140,22 @@ let test_plan_cache_hits () =
       Alcotest.(check int)
         (Printf.sprintf "second sighting compiles nothing: q%d" i)
         0
-        (Counters.get "plan.compiles" - c0);
+        (counter "plan.compiles" - c0);
       Alcotest.(check int)
         (Printf.sprintf "second sighting hits the cache: q%d" i)
         1
-        (Counters.get "plan.cache_hits" - h0);
+        (counter "plan.cache_hits" - h0);
       Alcotest.(check int)
         (Printf.sprintf "second sighting enumerates nothing: q%d" i)
-        e0 (Counters.get "embed.ns");
+        e0 (counter "embed.ns");
       Alcotest.(check int)
         (Printf.sprintf "second sighting misses nothing: q%d" i)
         m0
-        (Counters.get "plan.cache_misses");
+        (counter "plan.cache_misses");
       Alcotest.(check (pair int int))
         (Printf.sprintf "second sighting runs no plan: q%d" i)
         (r0, rn0)
-        (Counters.get "plan.runs", Counters.get "plan.run_ns");
+        (counter "plan.runs", counter "plan.run_ns");
       Alcotest.(check string)
         (Printf.sprintf "second sighting tier: q%d" i)
         "cache_hit"
@@ -259,7 +262,7 @@ let test_plan_fill_faults_retry_differential () =
             (List.exists (fun (p, _, _) -> p = point) (Fault.log ())))
       [ "embed.fill"; "plan.fill" ];
     Fault.disable ();
-    let c0 = Counters.get "plan.compiles" in
+    let c0 = counter "plan.compiles" in
     List.iteri
       (fun i q ->
         Alcotest.(check (float 0.0))
@@ -270,7 +273,7 @@ let test_plan_fill_faults_retry_differential () =
     Alcotest.(check int)
       (label ^ ": every warm entry survived the storm")
       0
-      (Counters.get "plan.compiles" - c0)
+      (counter "plan.compiles" - c0)
   in
   storm ~label:"coarsest" (Sketch.default_of_doc doc)
     "seed=11;plan.fill:p0.5;embed.fill:p0.3";
@@ -304,12 +307,12 @@ let test_guarded_entry_skips_enumeration () =
       (match Fault.parse_spec "embed.fill:always" with
       | Ok sp -> Fault.install sp
       | Error e -> Alcotest.fail e);
-      let m0 = Counters.get "plan.cache_misses" in
+      let m0 = counter "plan.cache_misses" in
       guard ();
       guard ();
       Alcotest.(check int) (label ^ ": no enumeration") 0 (Fault.injected_count ());
       Alcotest.(check int) (label ^ ": no table miss") m0
-        (Counters.get "plan.cache_misses");
+        (counter "plan.cache_misses");
       Fault.disable ())
     [
       ("embeddings", fun sk -> Engine.of_sketch ~max_embeddings:0 sk);
@@ -422,7 +425,7 @@ let test_cross_sketch_one_shot () =
           (bits (Est.estimate sk qs.(k))))
       rounds
   done;
-  let f0 = Counters.get "opt.fallbacks" in
+  let f0 = counter "opt.fallbacks" in
   let first_i = Array.map (Xtwig.optimize sk_i) qi in
   let first_x = Array.map (Xtwig.optimize sk_x) qx in
   let sk_i' = build_refined imdb ~budget_mult:4 and sk_x' = build_refined xmark ~budget_mult:4 in
@@ -436,7 +439,7 @@ let test_cross_sketch_one_shot () =
       true
       (compare (Xtwig.optimize sk_x' qx.(k)) first_x.(k) = 0)
   done;
-  Alcotest.(check int) "no optimizer fallback" f0 (Counters.get "opt.fallbacks")
+  Alcotest.(check int) "no optimizer fallback" f0 (counter "opt.fallbacks")
 
 (* 9. A session batch holds every query's plans until the join: a
    batch of 60 P+V queries, one of them twice, answers each query

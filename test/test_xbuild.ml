@@ -7,7 +7,7 @@ module Xbuild = Xtwig_sketch.Xbuild
 module Wgen = Xtwig_workload.Wgen
 module EM = Xtwig_workload.Error_metric
 module Prng = Xtwig_util.Prng
-module Counters = Xtwig_util.Counters
+module Metrics = Xtwig_obs.Metrics
 
 let doc = Xtwig_datagen.Imdb.generate ~scale:0.05 ()
 
@@ -102,9 +102,10 @@ let test_workload_error_helper () =
    dropped, and no session table is looked up. The compile afterwards
    is the control showing the counters are live in this process. *)
 let test_build_plans_run_once () =
-  let compiles () = Counters.get "plan.compiles" in
-  let runs () = Counters.get "plan.runs" in
-  let lookups () = (Counters.get "plan.cache_hits", Counters.get "plan.cache_misses") in
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let compiles () = counter "plan.compiles" in
+  let runs () = counter "plan.runs" in
+  let lookups () = (counter "plan.cache_hits", counter "plan.cache_misses") in
   let c0 = compiles () and r0 = runs () and l0 = lookups () in
   let sk = build ~budget:2500 ~max_steps:10 () in
   let compiled = compiles () - c0 in
